@@ -4,15 +4,18 @@ from fractions import Fraction
 
 import pytest
 
+from pathcover._bits import mask_of
 from pathcover.generators import (
     GenSpec,
     degree_from_ratio,
+    extremal_family,
     random_bipartite_regular,
     random_regular,
 )
 from pathcover.graph import Graph
 from pathcover.hamilton import Path
 from pathcover.pipeline import (
+    _connect_paths_bipartite,
     CycleSet,
     DegenerateParameterError,
     PathCover,
@@ -167,6 +170,42 @@ def test_each_merge_reduces_count_by_one():
         p.validate(g)
 
 
+def connect_bipartite(g, paths, r, limit):
+    """(path vertex tuples, leftover reservoir, merges, trimmed vertices)."""
+    x, y = g.bipartition
+    out, left, merges, trimmed = _connect_paths_bipartite(
+        g, paths, r, limit, mask_of(x), mask_of(y)
+    )
+    return [p.vertices for p in out], left, merges, trimmed
+
+
+def test_connect_bipartite_merges_at_x_ends():
+    g = Graph(8, [(0, 4), (1, 5), (0, 6), (1, 6)], bipartition=(range(4), range(4, 8)))
+    got = connect_bipartite(g, [Path((0, 4)), Path((1, 5))], {6}, limit=1)
+    assert got == ([(4, 0, 6, 1, 5)], frozenset(), [(0, 1, 6)], 0)
+
+
+def test_connect_bipartite_trims_a_path_with_both_ends_in_y():
+    # (5, 0, 4) has no X end; dropping its tail 4 exposes 0
+    g = Graph(
+        8, [(5, 0), (0, 4), (1, 6), (0, 7), (1, 7)], bipartition=(range(4), range(4, 8))
+    )
+    got = connect_bipartite(g, [Path((5, 0, 4)), Path((1, 6))], {7}, limit=1)
+    assert got == ([(5, 0, 7, 1, 6)], frozenset(), [(0, 1, 7)], 1)
+
+
+def test_connect_bipartite_never_uses_an_x_side_connector():
+    # X = {4..7}: 6 joins the Y ends 0 and 1, which the general policy would
+    # merge through; the bipartite policy has only 2, adjacent to one X end
+    g = Graph(
+        8, [(0, 4), (1, 5), (6, 0), (6, 1), (2, 4)], bipartition=(range(4, 8), range(4))
+    )
+    paths = [Path((0, 4)), Path((1, 5))]
+    assert connect_paths(g, paths, {2, 6}, limit=1)[2] == [(0, 1, 6)]
+    got = connect_bipartite(g, paths, {2, 6}, limit=1)
+    assert got == ([(0, 4), (1, 5)], frozenset({2, 6}), [], 0)
+
+
 # ------------------------------------------------------------------ cover audit
 
 
@@ -310,13 +349,15 @@ def test_path_cover_bipartite_random():
 
 
 def test_path_cover_bipartite_connections_use_reservoir_y_side():
-    n, c = 200, 0.3
-    k = degree_from_ratio(n, c)
-    g = random_bipartite_regular(GenSpec(n, k, "random-bipartite-regular", seed=13))
-    cover, rep = path_cover_bipartite(g, PipelineConfig.derive(c, 0.1, seed=13))
+    # four disjoint K_{10,10}: the path stage leaves more than 4 paths, and
+    # the enlarged reservoir (gamma = 1/4) joins two of them
+    g = extremal_family(GenSpec(80, 10, "disjoint-bicliques"))
+    cover, rep = path_cover_bipartite(g, PipelineConfig.derive(0.125, 0.1, gamma=0.25, seed=1))
+    assert rep.merges
     _, y = g.bipartition
     for (_, _, w) in rep.merges:
         assert w in rep.reservoir_vertices and w in y
+    assert verify_cover(g, cover, max_count=4, max_uncovered=8).ok
 
 
 def test_path_cover_bipartite_rejects_plain_graph():
