@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
@@ -156,9 +156,6 @@ class PipelineConfig:
             # the chain recompute it
             ov.pop("eps", None)
             return PipelineConfig.derive(self.c, alpha, t=self.t, seed=self.seed, **ov)
-
-    def with_seed(self, seed: int) -> "PipelineConfig":
-        return replace(self, seed=seed)
 
 
 # --------------------------------------------------------------------- results
@@ -347,7 +344,7 @@ def cycle_cover(
     """
     n = g.n
     rep = RunReport(n=n)
-    eps, d = cfg.eps, cfg.d
+    eps = cfg.eps
     cn = _dec(cfg.c) * n
     lo, hi = (1 - _dec(eps)) * cn, (1 + _dec(eps)) * cn
     violations = sum(1 for v in range(n) if not lo < g.degree(v) < hi)
@@ -359,21 +356,17 @@ def cycle_cover(
     alpha_cap = int(_dec(cfg.alpha) * n)
     cycles = _regularity_cycles(g, cfg, rep)
     if cycles is not None:
-        covered = set().union(*(c.vertices for c in cycles)) if cycles else set()
-        if n - len(covered) <= alpha_cap:
-            rep.cycles_found = len(cycles)
-            rep.covered = len(covered)
-            rep.uncovered = n - len(covered)
-            rep.final_count = len(cycles)
-            rep.success = True
-            return CycleSet(cycles, frozenset(range(n)) - covered), rep
-        rep.note(
-            f"regularity route covered only {len(covered)}/{n}, "
-            f"needed {n - alpha_cap}; falling back"
-        )
-    cycles = _fallback_cycles(g, cfg, rep, alpha_cap)
-    rep.method = "greedy-fallback"
-    covered = set().union(*(c.vertices for c in cycles)) if cycles else set()
+        covered = len(_covered_vertices(cycles))
+        if n - covered > alpha_cap:
+            rep.note(
+                f"regularity route covered only {covered}/{n}, "
+                f"needed {n - alpha_cap}; falling back"
+            )
+            cycles = None
+    if cycles is None:
+        cycles = _fallback_cycles(g, cfg, rep, alpha_cap)
+        rep.method = "greedy-fallback"
+    covered = _covered_vertices(cycles)
     rep.cycles_found = len(cycles)
     rep.covered = len(covered)
     rep.uncovered = n - len(covered)
@@ -486,10 +479,6 @@ def _fallback_cycles(
     return cycles
 
 
-def _covered_count(cycles: Sequence[Cycle]) -> int:
-    return sum(len(c) for c in cycles)
-
-
 # ------------------------------------------------------------ path connection
 
 
@@ -498,41 +487,35 @@ def connect_paths(
     paths: Sequence[Path],
     r: Iterable[int],
     limit: int,
+    sides: Optional[tuple[int, int]] = None,
 ) -> tuple[list[Path], frozenset[int], list[tuple[int, int, int]]]:
     """Merge paths through common reservoir neighbors of their chosen ends
     until at most `limit` paths remain or no merge is possible.
 
-    Each path's connector end is its lexicographically smaller endpoint,
-    re-evaluated after every merge. Candidate merges are scanned smallest
-    (i, j) first, then smallest w. Returns (paths, leftover reservoir, log of
-    (i, j, w) merges against the pre-merge indexing of each round).
+    Without `sides`, each path's connector end is its lexicographically
+    smaller endpoint and any reservoir vertex may connect. With
+    `sides=(xmask, ymask)` (bipartite), connectors come from R ∩ Y and join
+    ends in X; a path whose ends both lie in Y is trimmed by one end vertex,
+    at merge time, to expose an X end. Ends are re-evaluated after every
+    merge. Candidate merges are scanned smallest (i, j) first, then smallest
+    w. Returns (paths, leftover reservoir, log of (i, j, w) merges against
+    the pre-merge indexing of each round).
     """
     paths = list(paths)
     rset = set(r)
     merges: list[tuple[int, int, int]] = []
     while len(paths) > limit:
-        rmask = mask_of(rset)
-        if not rmask:
+        cmask = mask_of(rset) if sides is None else mask_of(rset) & sides[1]
+        if not cmask:
             break
-        ends = [min(p.ends) for p in paths]
-        found = None
-        for i in range(len(paths)):
-            ai = g.adjacency_mask(ends[i])
-            if not ai & rmask:
-                continue
-            for j in range(i + 1, len(paths)):
-                common = ai & g.adjacency_mask(ends[j]) & rmask
-                if common:
-                    w = (common & -common).bit_length() - 1
-                    found = (i, j, w)
-                    break
-            if found:
-                break
+        found = _first_merge(g, [_end_plans(p, sides) for p in paths], cmask)
         if not found:
             break
-        i, j, w = found
-        pi = paths[i] if paths[i].vertices[-1] == ends[i] else paths[i].reversed()
-        pj = paths[j] if paths[j].vertices[0] == ends[j] else paths[j].reversed()
+        i, j, w, plan_i, plan_j = found
+        pi = _trimmed(paths[i], plan_i[1])
+        pj = _trimmed(paths[j], plan_j[1])
+        pi = pi if pi.vertices[-1] == plan_i[0] else pi.reversed()
+        pj = pj if pj.vertices[0] == plan_j[0] else pj.reversed()
         merged = Path(pi.vertices + (w,) + pj.vertices)
         paths = [p for k, p in enumerate(paths) if k not in (i, j)]
         paths.append(merged)
@@ -541,88 +524,47 @@ def connect_paths(
     return paths, frozenset(rset), merges
 
 
-def _connect_paths_bipartite(
+EndPlan = tuple[int, Optional[int]]  # (connector end, end vertex to trim first or None)
+
+
+def _end_plans(p: Path, sides: Optional[tuple[int, int]]) -> list[EndPlan]:
+    if sides is None:
+        return [(min(p.ends), None)]
+    xmask = sides[0]
+    e0, e1 = p.ends
+    plans: list[EndPlan] = [(e, None) for e in {e0, e1} if (xmask >> e) & 1]
+    if not plans and len(p) >= 2:
+        # both ends in Y: trimming either end exposes its neighbor in X
+        plans.append((p.vertices[1], e0))
+        if len(p) >= 3:
+            plans.append((p.vertices[-2], e1))
+    return sorted(plans)
+
+
+def _first_merge(
     g: Graph,
-    paths: Sequence[Path],
-    r: Iterable[int],
-    limit: int,
-    xmask: int,
-    ymask: int,
-) -> tuple[list[Path], frozenset[int], list[tuple[int, int, int]], int]:
-    """Bipartite connection: merge at X-side ends through w in R ∩ Y.
+    plans: list[list[EndPlan]],
+    cmask: int,
+) -> Optional[tuple[int, int, int, EndPlan, EndPlan]]:
+    """Smallest (i, plan_i, j, plan_j) whose ends share a connector in cmask,
+    with the smallest such connector w."""
+    for i, plans_i in enumerate(plans):
+        for plan_i in plans_i:
+            ai = g.adjacency_mask(plan_i[0]) & cmask
+            if not ai:
+                continue
+            for j in range(i + 1, len(plans)):
+                for plan_j in plans[j]:
+                    common = ai & g.adjacency_mask(plan_j[0])
+                    if common:
+                        return i, j, (common & -common).bit_length() - 1, plan_i, plan_j
+    return None
 
-    Paths whose ends both lie in Y are trimmed by one end vertex (at merge
-    time) to expose an X end. Returns (paths, leftover reservoir, merges,
-    number of trimmed vertices).
-    """
-    paths = list(paths)
-    rset = set(r)
-    merges: list[tuple[int, int, int]] = []
-    trimmed = 0
 
-    def x_end_plans(p: Path) -> list[tuple[int, Optional[int]]]:
-        """Candidate (x_end, end_vertex_to_trim or None) pairs for this path."""
-        e0, e1 = p.vertices[0], p.vertices[-1]
-        plans: list[tuple[int, Optional[int]]] = []
-        if (xmask >> e0) & 1:
-            plans.append((e0, None))
-        if e1 != e0 and (xmask >> e1) & 1:
-            plans.append((e1, None))
-        if not plans and len(p) >= 2:
-            # both ends in Y: trimming either end exposes its neighbor in X
-            plans.append((p.vertices[1], e0))
-            if len(p) >= 3:
-                plans.append((p.vertices[-2], e1))
-        return sorted(set(plans))
-
-    while len(paths) > limit:
-        rymask = mask_of(rset) & ymask
-        if not rymask:
-            break
-        all_plans = [x_end_plans(p) for p in paths]
-        found = None
-        for i in range(len(paths)):
-            for plan_i in all_plans[i]:
-                ai = g.adjacency_mask(plan_i[0])
-                if not ai & rymask:
-                    continue
-                for j in range(i + 1, len(paths)):
-                    for plan_j in all_plans[j]:
-                        common = ai & g.adjacency_mask(plan_j[0]) & rymask
-                        if common:
-                            w = (common & -common).bit_length() - 1
-                            found = (i, j, w, plan_i, plan_j)
-                            break
-                    if found:
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if not found:
-            break
-        i, j, w, plan_i, plan_j = found
-
-        def apply_plan(p: Path, plan: tuple[int, Optional[int]]) -> Path:
-            nonlocal trimmed
-            _, trim = plan
-            if trim is not None:
-                vs = p.vertices[1:] if p.vertices[0] == trim else p.vertices[:-1]
-                p = Path(vs)
-                trimmed += 1
-            return p
-
-        pi = apply_plan(paths[i], plan_i)
-        pj = apply_plan(paths[j], plan_j)
-        xi, xj = plan_i[0], plan_j[0]
-        pi = pi if pi.vertices[-1] == xi else pi.reversed()
-        pj = pj if pj.vertices[0] == xj else pj.reversed()
-        merged = Path(pi.vertices + (w,) + pj.vertices)
-        paths = [p for k, p in enumerate(paths) if k not in (i, j)]
-        paths.append(merged)
-        rset.discard(w)
-        merges.append((i, j, w))
-    return paths, frozenset(rset), merges, trimmed
+def _trimmed(p: Path, trim: Optional[int]) -> Path:
+    if trim is None:
+        return p
+    return Path(p.vertices[1:] if p.vertices[0] == trim else p.vertices[:-1])
 
 
 def _concat_paths(
@@ -789,9 +731,7 @@ def _finalize(
     alpha_cap: int,
     rep: RunReport,
 ) -> PathCover:
-    covered = set()
-    for p in paths:
-        covered |= set(p.vertices)
+    covered = _covered_vertices(paths)
     uncovered = frozenset(range(g.n)) - covered
     rep.final_count = len(paths)
     rep.covered = len(covered)
@@ -800,59 +740,22 @@ def _finalize(
     return PathCover(paths, uncovered)
 
 
+def _require_degree(g: Graph, cfg: PipelineConfig) -> None:
+    k = g.regular_degree()
+    expected = degree_from_ratio(g.n, cfg.c)
+    if k != expected:
+        raise ValueError(
+            f"graph is {k}-regular but cfg.c={cfg.c} implies ceil(c*n)={expected}"
+        )
+
+
 def path_cover(g: Graph, cfg: PipelineConfig) -> tuple[PathCover, RunReport]:
     """At most floor(1/c) vertex-disjoint paths covering all but alpha*n
     vertices of a ceil(c*n)-regular graph (success case; shortfalls are
     reported, never hidden).
     """
-    n = g.n
-    k = g.regular_degree()
-    expected = degree_from_ratio(n, cfg.c)
-    if k != expected:
-        raise ValueError(
-            f"graph is {k}-regular but cfg.c={cfg.c} implies ceil(c*n)={expected}"
-        )
-    limit = paths_limit(cfg.c)
-    alpha_cap = int(_dec(cfg.alpha) * n)
-    thm_eps = min(cfg.eps, ((limit + 1) * cfg.c - 1) / 3)
-    rep = RunReport(n=n)
-    r = _reservoir_relaxed(g, cfg, max(thm_eps, 1e-12), rep)
-    rep.reservoir_size = len(r)
-    rep.reservoir_vertices = r
-    rest = sorted(set(range(n)) - r)
-    g1, mapping = induced_subgraph(g, rest)
-    cycset, crep = cycle_cover(g1, cfg.with_alpha(cfg.alpha / 2), strict_window=False)
-    _copy_cycle_stage(rep, crep)
-    paths = _cycles_to_paths(cycset, mapping)
-    if not paths:
-        paths = _strip_paths(g, set(rest), mix64(cfg.seed, 2), cap=3 * (limit + 1))
-        rep.method = "greedy-fallback"
-    paths, _ = _connect_absorb(g, paths, r, limit, rep)
-    cover = _finalize(g, paths, limit, alpha_cap, rep)
-    if rep.success:
-        return cover, rep
-
-    # labeled fallback: strip paths directly, then the same connection loop;
-    # a few attempts with fresh seeds and growing budget
-    for attempt in range(3):
-        fb_rep = RunReport(n=n, method="greedy-fallback")
-        fb_rep.reservoir_size = len(r)
-        fb_rep.reservoir_vertices = r
-        fb_paths = _strip_paths(
-            g,
-            set(rest),
-            mix64(cfg.seed, 3, attempt),
-            cap=3 * (limit + 1),
-            budget_factor=12 + 8 * attempt,
-        )
-        fb_paths, _ = _connect_absorb(g, fb_paths, r, limit, fb_rep)
-        fb_cover = _finalize(g, fb_paths, limit, alpha_cap, fb_rep)
-        if _better(fb_rep, fb_cover, rep, cover):
-            fb_rep.notes = rep.notes + fb_rep.notes
-            cover, rep = fb_cover, fb_rep
-        if rep.success:
-            break
-    return cover, rep
+    _require_degree(g, cfg)
+    return _path_stage(g, cfg, paths_limit(cfg.c), None)
 
 
 def path_cover_bipartite(g: Graph, cfg: PipelineConfig) -> tuple[PathCover, RunReport]:
@@ -861,36 +764,44 @@ def path_cover_bipartite(g: Graph, cfg: PipelineConfig) -> tuple[PathCover, RunR
     """
     if g.bipartition is None:
         raise ValueError("graph has no bipartition")
-    n = g.n
-    k = g.regular_degree()
-    expected = degree_from_ratio(n, cfg.c)
-    if k != expected:
-        raise ValueError(
-            f"graph is {k}-regular but cfg.c={cfg.c} implies ceil(c*n)={expected}"
-        )
+    _require_degree(g, cfg)
     x, y = g.bipartition
     if len(x) != len(y):
         raise ValueError("regular bipartite graphs must have balanced sides")
-    xmask, ymask = mask_of(x), mask_of(y)
-    limit = paths_limit_bipartite(cfg.c)
+    return _path_stage(g, cfg, paths_limit_bipartite(cfg.c), (mask_of(x), mask_of(y)))
+
+
+def _path_stage(
+    g: Graph,
+    cfg: PipelineConfig,
+    limit: int,
+    sides: Optional[tuple[int, int]],
+) -> tuple[PathCover, RunReport]:
+    """The path stage of both covers. `sides` is None for general graphs and
+    (xmask, ymask) for bipartite ones; it sets the connector policy of
+    `connect_paths` and balances the working sides."""
+    n = g.n
     alpha_cap = int(_dec(cfg.alpha) * n)
-    thm_eps = min(cfg.eps, ((limit + 1) * 2 * cfg.c - 1) / 3)
+    # cap eps so that (limit + 1) * c' >= 1 + 3 eps, with c' = c or 2c
+    c_eff = cfg.c if sides is None else 2 * cfg.c
+    thm_eps = min(cfg.eps, ((limit + 1) * c_eff - 1) / 3)
     rep = RunReport(n=n)
     r = _reservoir_relaxed(g, cfg, max(thm_eps, 1e-12), rep)
     rep.reservoir_size = len(r)
     rep.reservoir_vertices = r
     rest = sorted(set(range(n)) - r)
-    # an alternating path covers at most 2*min(|X'|,|Y'|)+1 vertices, so hold
-    # out the excess side (lowest ids); held-out vertices stay absorbable but
-    # never serve as connectors
-    xs = [v for v in rest if v in x]
-    ys = [v for v in rest if v in y]
-    drop = abs(len(xs) - len(ys))
-    if drop:
-        src = xs if len(xs) > len(ys) else ys
-        del src[:drop]
-        rest = sorted(xs + ys)
-        rep.note(f"held out {drop} vertices to balance the working sides")
+    if sides is not None:
+        # an alternating path covers at most 2*min(|X'|,|Y'|)+1 vertices, so
+        # hold out the excess side (lowest ids); held-out vertices stay
+        # absorbable but never serve as connectors
+        xs = [v for v in rest if (sides[0] >> v) & 1]
+        ys = [v for v in rest if (sides[1] >> v) & 1]
+        drop = abs(len(xs) - len(ys))
+        if drop:
+            src = xs if len(xs) > len(ys) else ys
+            del src[:drop]
+            rest = sorted(xs + ys)
+            rep.note(f"held out {drop} vertices to balance the working sides")
     g1, mapping = induced_subgraph(g, rest)
     cycset, crep = cycle_cover(g1, cfg.with_alpha(cfg.alpha / 2), strict_window=False)
     _copy_cycle_stage(rep, crep)
@@ -898,12 +809,14 @@ def path_cover_bipartite(g: Graph, cfg: PipelineConfig) -> tuple[PathCover, RunR
     if not paths:
         paths = _strip_paths(g, set(rest), mix64(cfg.seed, 2), cap=3 * (limit + 1))
         rep.method = "greedy-fallback"
-    paths, _ = _connect_absorb_bipartite(g, paths, r, limit, rep, xmask, ymask)
+    paths = _connect_absorb(g, paths, r, limit, rep, sides)
     cover = _finalize(g, paths, limit, alpha_cap, rep)
-    if rep.success:
-        return cover, rep
 
+    # labeled fallback: strip paths directly, then the same connection loop;
+    # a few attempts with fresh seeds and growing budget
     for attempt in range(3):
+        if rep.success:
+            break
         fb_rep = RunReport(n=n, method="greedy-fallback")
         fb_rep.reservoir_size = len(r)
         fb_rep.reservoir_vertices = r
@@ -914,15 +827,11 @@ def path_cover_bipartite(g: Graph, cfg: PipelineConfig) -> tuple[PathCover, RunR
             cap=3 * (limit + 1),
             budget_factor=12 + 8 * attempt,
         )
-        fb_paths, _ = _connect_absorb_bipartite(
-            g, fb_paths, r, limit, fb_rep, xmask, ymask
-        )
+        fb_paths = _connect_absorb(g, fb_paths, r, limit, fb_rep, sides)
         fb_cover = _finalize(g, fb_paths, limit, alpha_cap, fb_rep)
         if _better(fb_rep, fb_cover, rep, cover):
             fb_rep.notes = rep.notes + fb_rep.notes
             cover, rep = fb_cover, fb_rep
-        if rep.success:
-            break
     return cover, rep
 
 
@@ -945,64 +854,38 @@ def _connect_absorb(
     r: frozenset[int],
     limit: int,
     rep: RunReport,
-) -> tuple[list[Path], frozenset[int]]:
+    sides: Optional[tuple[int, int]],
+) -> list[Path]:
     rset = r
     for _ in range(4):
-        before = (len(paths), _covered_paths(paths))
-        paths, rset, merges = connect_paths(g, paths, rset, limit)
+        before = (len(paths), _covered_count(paths))
+        paths, rset, merges = connect_paths(g, paths, rset, limit, sides)
         rep.connections += len(merges)
         rep.merges.extend(merges)
+        # each merge adds its connector and each trim removes one end vertex
+        rep.trimmed += before[1] + len(merges) - _covered_count(paths)
         paths, joins = _concat_paths(g, paths, limit)
         rep.direct_joins += joins
         free = set(range(g.n)) - _covered_vertices(paths)
         paths, absorbed = _absorb(g, paths, free)
         rep.absorbed += absorbed
         rset = rset - _covered_vertices(paths)  # absorbed reservoir is no longer free
-        if (len(paths), _covered_paths(paths)) == before:
+        if (len(paths), _covered_count(paths)) == before:
             break
     rep.reservoir_spent = rep.connections
-    return paths, rset
+    return paths
 
 
-def _connect_absorb_bipartite(
-    g: Graph,
-    paths: list[Path],
-    r: frozenset[int],
-    limit: int,
-    rep: RunReport,
-    xmask: int,
-    ymask: int,
-) -> tuple[list[Path], frozenset[int]]:
-    rset = r
-    for _ in range(4):
-        before = (len(paths), _covered_paths(paths))
-        paths, rset, merges, trimmed = _connect_paths_bipartite(
-            g, paths, rset, limit, xmask, ymask
-        )
-        rep.connections += len(merges)
-        rep.merges.extend(merges)
-        rep.trimmed += trimmed
-        paths, joins = _concat_paths(g, paths, limit)
-        rep.direct_joins += joins
-        free = set(range(g.n)) - _covered_vertices(paths)
-        paths, absorbed = _absorb(g, paths, free)
-        rep.absorbed += absorbed
-        rset = rset - _covered_vertices(paths)
-        if (len(paths), _covered_paths(paths)) == before:
-            break
-    rep.reservoir_spent = rep.connections
-    return paths, rset
-
-
-def _covered_vertices(paths: Sequence[Path]) -> set[int]:
+def _covered_vertices(units: Sequence[Union[Path, Cycle]]) -> set[int]:
     out: set[int] = set()
-    for p in paths:
-        out |= set(p.vertices)
+    for u in units:
+        out |= set(u.vertices)
     return out
 
 
-def _covered_paths(paths: Sequence[Path]) -> int:
-    return sum(len(p) for p in paths)
+def _covered_count(units: Sequence[Union[Path, Cycle]]) -> int:
+    """Covered vertices of disjoint paths or cycles."""
+    return sum(len(u) for u in units)
 
 
 def _better(rep_a: RunReport, cov_a: PathCover, rep_b: RunReport, cov_b: PathCover) -> bool:

@@ -15,7 +15,6 @@ from pathcover.generators import (
 from pathcover.graph import Graph
 from pathcover.hamilton import Path
 from pathcover.pipeline import (
-    _connect_paths_bipartite,
     CycleSet,
     DegenerateParameterError,
     PathCover,
@@ -173,9 +172,9 @@ def test_each_merge_reduces_count_by_one():
 def connect_bipartite(g, paths, r, limit):
     """(path vertex tuples, leftover reservoir, merges, trimmed vertices)."""
     x, y = g.bipartition
-    out, left, merges, trimmed = _connect_paths_bipartite(
-        g, paths, r, limit, mask_of(x), mask_of(y)
-    )
+    out, left, merges = connect_paths(g, paths, r, limit, sides=(mask_of(x), mask_of(y)))
+    # each merge adds its connector and each trim removes one end vertex
+    trimmed = sum(map(len, paths)) + len(merges) - sum(map(len, out))
     return [p.vertices for p in out], left, merges, trimmed
 
 
