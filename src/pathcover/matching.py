@@ -93,24 +93,41 @@ class HalfIntegralMatching:
 
 
 def _augment(adj_sorted: list[list[int]], match_l: list[int], match_r: list[int]) -> int:
-    """Kuhn's algorithm; neighbor lists pre-sorted for determinism."""
-    n = len(adj_sorted)
+    """Kuhn's algorithm; neighbor lists pre-sorted for determinism.
 
-    def try_vertex(u: int, visited: set[int]) -> bool:
-        for v in adj_sorted[u]:
-            if v in visited:
-                continue
-            visited.add(v)
-            if match_r[v] == -1 or try_vertex(match_r[v], visited):
-                match_l[u] = v
-                match_r[v] = u
-                return True
-        return False
-
+    The depth-first search keeps its own stack, so augmenting paths of any
+    length fit; it tries neighbors in the same order as the recursive form.
+    """
     size = 0
-    for u in range(n):
-        if match_l[u] == -1 and try_vertex(u, set()):
-            size += 1
+    for root in range(len(adj_sorted)):
+        if match_l[root] != -1:
+            continue
+        visited: set[int] = set()
+        path = [root]  # left vertices of the alternating path being grown
+        via: list[int] = []  # via[i] leads from path[i] to path[i + 1]
+        nxt = [0]  # per path vertex, the index of its next neighbor to try
+        while path:
+            nbrs = adj_sorted[path[-1]]
+            while nxt[-1] < len(nbrs) and nbrs[nxt[-1]] in visited:
+                nxt[-1] += 1
+            if nxt[-1] == len(nbrs):
+                path.pop()
+                nxt.pop()
+                if via:
+                    via.pop()
+                continue
+            v = nbrs[nxt[-1]]
+            nxt[-1] += 1
+            visited.add(v)
+            via.append(v)
+            if match_r[v] == -1:
+                for u, w in zip(path, via):
+                    match_l[u] = w
+                    match_r[w] = u
+                size += 1
+                break
+            path.append(match_r[v])
+            nxt.append(0)
     return size
 
 
@@ -231,12 +248,6 @@ def max_deficiency(g: Graph, cap: int = DEFICIENCY_CAP) -> tuple[int, frozenset[
                 best_val = val
                 best_set = frozenset(subset)
     return best_val, best_set
-
-
-def fractional_matching_value_by_deficiency(g: Graph, cap: int = DEFICIENCY_CAP) -> Fraction:
-    """(n - max deficiency) / 2; independent route to mu_f."""
-    d, _ = max_deficiency(g, cap=cap)
-    return Fraction(g.n - d, 2)
 
 
 def cluster_matching_pairs(

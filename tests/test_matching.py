@@ -56,6 +56,14 @@ def test_deficiency_size_cap():
         max_deficiency(Graph(17, []))
 
 
+def test_long_path_graph_needs_no_deep_recursion():
+    # the augmenting search on P_3000 runs deeper than the default recursion limit
+    n = 3000
+    m = fractional_matching(Graph(n, [(i, i + 1) for i in range(n - 1)]))
+    assert m.value == n // 2
+    assert set(m.weights.values()) == {Fraction(1)}
+
+
 def test_even_cycle_support_is_rounded_integral():
     c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     m = fractional_matching(c4)
