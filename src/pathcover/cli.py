@@ -26,7 +26,6 @@ from .generators import (
     generate,
 )
 from .graph import Graph, GraphFormatError, read_graph, write_graph
-from .hamilton import Path
 from .matching import fractional_matching, max_deficiency
 from .oracle import (
     binomial_tail_exact,
@@ -97,8 +96,16 @@ def write_cover_file(cover: PathCover) -> str:
     return "\n".join(lines) + "\n"
 
 
+@dataclass(frozen=True)
+class _CoverLine:
+    """A cover-file line as written. Unlike `Path` it may repeat a vertex, so
+    that `verify_cover` can report the repeat instead of never seeing it."""
+
+    vertices: tuple[int, ...]
+
+
 def read_cover_file(text: str, g: Graph) -> PathCover:
-    paths: list[Path] = []
+    paths: list[_CoverLine] = []
     used: set[int] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -111,7 +118,7 @@ def read_cover_file(text: str, g: Graph) -> PathCover:
         for v in ids:
             if not 0 <= v < g.n:
                 raise GraphFormatError(line_no, f"vertex {v} out of range")
-        paths.append(Path(tuple(ids)))
+        paths.append(_CoverLine(tuple(ids)))
         used |= set(ids)
     return PathCover(paths, frozenset(range(g.n)) - used)
 

@@ -945,7 +945,8 @@ def verify_cover(
     shared = None
     for u_idx, unit in enumerate(units):
         for v in unit.vertices:
-            if v in seen:
+            # a repeat inside one unit is reported by distinct-vertices
+            if seen.get(v, u_idx) != u_idx:
                 shared = (v, seen[v], u_idx)
                 break
             seen[v] = u_idx

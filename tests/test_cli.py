@@ -108,6 +108,19 @@ def test_verify_catches_non_edge(tmp_path, capsys):
     assert "(1,2)" in out
 
 
+def test_verify_reports_repeated_vertex(tmp_path, capsys):
+    gfile = tmp_path / "g.txt"
+    cfile = tmp_path / "c.txt"
+    gfile.write_text("3 2\n0 1\n1 2\n")
+    cfile.write_text("0 1 0\n")
+    code, out, _ = run(capsys, "verify", str(gfile), str(cfile))
+    assert code == 1
+    assert "[FAIL] distinct-vertices" in out
+    assert "[PASS] disjoint" in out
+    with pytest.raises(ValueError):
+        Path((0, 1, 0))  # library paths still reject the repeat
+
+
 def test_bench_row_arity(capsys):
     code, out, _ = run(
         capsys, "bench", "--c", "0.45,0.6", "--n", "40,60", "--seeds", "0..2",
