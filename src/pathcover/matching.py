@@ -105,19 +105,15 @@ def _augment(adj_sorted: list[list[int]], match_l: list[int], match_r: list[int]
         visited: set[int] = set()
         path = [root]  # left vertices of the alternating path being grown
         via: list[int] = []  # via[i] leads from path[i] to path[i + 1]
-        nxt = [0]  # per path vertex, the index of its next neighbor to try
+        untried = [iter(adj_sorted[root])]  # per path vertex, its untried neighbors
         while path:
-            nbrs = adj_sorted[path[-1]]
-            while nxt[-1] < len(nbrs) and nbrs[nxt[-1]] in visited:
-                nxt[-1] += 1
-            if nxt[-1] == len(nbrs):
+            v = next((v for v in untried[-1] if v not in visited), None)
+            if v is None:
                 path.pop()
-                nxt.pop()
+                untried.pop()
                 if via:
                     via.pop()
                 continue
-            v = nbrs[nxt[-1]]
-            nxt[-1] += 1
             visited.add(v)
             via.append(v)
             if match_r[v] == -1:
@@ -127,7 +123,7 @@ def _augment(adj_sorted: list[list[int]], match_l: list[int], match_r: list[int]
                 size += 1
                 break
             path.append(match_r[v])
-            nxt.append(0)
+            untried.append(iter(adj_sorted[match_r[v]]))
     return size
 
 

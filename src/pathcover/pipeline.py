@@ -740,21 +740,11 @@ def _finalize(
     return PathCover(paths, uncovered)
 
 
-def _require_degree(g: Graph, cfg: PipelineConfig) -> None:
-    k = g.regular_degree()
-    expected = degree_from_ratio(g.n, cfg.c)
-    if k != expected:
-        raise ValueError(
-            f"graph is {k}-regular but cfg.c={cfg.c} implies ceil(c*n)={expected}"
-        )
-
-
 def path_cover(g: Graph, cfg: PipelineConfig) -> tuple[PathCover, RunReport]:
     """At most floor(1/c) vertex-disjoint paths covering all but alpha*n
     vertices of a ceil(c*n)-regular graph (success case; shortfalls are
     reported, never hidden).
     """
-    _require_degree(g, cfg)
     return _path_stage(g, cfg, paths_limit(cfg.c), None)
 
 
@@ -764,7 +754,6 @@ def path_cover_bipartite(g: Graph, cfg: PipelineConfig) -> tuple[PathCover, RunR
     """
     if g.bipartition is None:
         raise ValueError("graph has no bipartition")
-    _require_degree(g, cfg)
     x, y = g.bipartition
     if len(x) != len(y):
         raise ValueError("regular bipartite graphs must have balanced sides")
@@ -781,6 +770,12 @@ def _path_stage(
     (xmask, ymask) for bipartite ones; it sets the connector policy of
     `connect_paths` and balances the working sides."""
     n = g.n
+    k = g.regular_degree()
+    expected = degree_from_ratio(n, cfg.c)
+    if k != expected:
+        raise ValueError(
+            f"graph is {k}-regular but cfg.c={cfg.c} implies ceil(c*n)={expected}"
+        )
     alpha_cap = int(_dec(cfg.alpha) * n)
     # cap eps so that (limit + 1) * c' >= 1 + 3 eps, with c' = c or 2c
     c_eff = cfg.c if sides is None else 2 * cfg.c
