@@ -367,8 +367,6 @@ def test_path_cover_bipartite_rejects_plain_graph():
 
 
 def test_out_of_regime_disjoint_cliques_rejected():
-    from pathcover.generators import extremal_family
-
     g = extremal_family(GenSpec(40, 3, "disjoint-cliques"))  # k=3 fixed, not c*n
     cfg = PipelineConfig.derive(0.5, 0.1)
     with pytest.raises(ValueError):
