@@ -1,20 +1,61 @@
 """Byte-for-byte regression against outputs checked in under tests/golden/.
 
 Refactors of the pipeline must not change what it emits: the bench CSV with
-`--timing none`, the run report and the cover itself. A deliberate behaviour
-change regenerates these files in the same commit and says why.
+`--timing none`, the run report and the cover itself. The bench CSV pins only
+`method,paths,uncovered`, which a different graph can reproduce, so the
+generated graphs are pinned too, by the sha256 of their edge-list text. A
+deliberate behaviour change regenerates these files in the same commit and
+says why.
 """
 
+import hashlib
 from pathlib import Path as FsPath
 
 import pytest
 
 from pathcover.cli import main, write_cover_file
-from pathcover.generators import GenSpec, extremal_family
-from pathcover.graph import Graph
+from pathcover.generators import GenSpec, degree_from_ratio, extremal_family, generate
+from pathcover.graph import Graph, write_graph
 from pathcover.pipeline import PipelineConfig, path_cover, path_cover_bipartite
 
 GOLDEN = FsPath(__file__).parent / "golden"
+
+# c = 0.6 (general) and c = 0.3, 0.45 (bipartite) take the complement branch
+GRAPH_CASES = (
+    [
+        ("random-regular", n, degree_from_ratio(n, c), seed)
+        for n in (120, 600)
+        for c in (0.3, 0.45, 0.6)
+        for seed in (0, 1)
+    ]
+    + [
+        ("random-bipartite-regular", n, degree_from_ratio(n, c), seed)
+        for n in (120, 600)
+        for c in (0.15, 0.3, 0.45)
+        for seed in (0, 1)
+    ]
+    + [
+        ("disjoint-cliques", 120, 29, 0),
+        ("disjoint-cliques", 125, 29, 0),  # last block enlarged to K_35
+        ("disjoint-bicliques", 120, 20, 0),
+        ("disjoint-bicliques", 120, 30, 0),
+    ]
+)
+
+
+def _graph_digests() -> dict[tuple[str, int, int, int], str]:
+    out = {}
+    for line in (GOLDEN / "graph_digests.txt").read_text().splitlines():
+        if line and not line.startswith("#"):
+            family, n, k, seed, digest = line.split()
+            out[(family, int(n), int(k), int(seed))] = digest
+    return out
+
+
+@pytest.mark.parametrize("family, n, k, seed", GRAPH_CASES)
+def test_generated_graph_matches_golden(family, n, k, seed):
+    text = write_graph(generate(GenSpec(n, k, family, seed)))
+    assert hashlib.sha256(text.encode()).hexdigest() == _graph_digests()[(family, n, k, seed)]
 
 
 @pytest.mark.parametrize(
