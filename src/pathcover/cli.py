@@ -38,6 +38,8 @@ from .oracle import (
 from .pipeline import (
     PathCover,
     PipelineConfig,
+    RunReport,
+    _dec,
     chernoff_lower,
     chernoff_upper,
     path_cover,
@@ -181,6 +183,15 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _cover(g: Graph, cfg: PipelineConfig, bipartite: bool) -> tuple[PathCover, RunReport, int]:
+    """Cover `g` with the family's path stage: (cover, report, paths limit)."""
+    if bipartite:
+        cover, rep = path_cover_bipartite(g, cfg)
+        return cover, rep, paths_limit_bipartite(cfg.c)
+    cover, rep = path_cover(g, cfg)
+    return cover, rep, paths_limit(cfg.c)
+
+
 def cmd_cover(args) -> int:
     with open(args.graph, encoding="utf-8") as fh:
         g = read_graph(fh.read())
@@ -189,11 +200,7 @@ def cmd_cover(args) -> int:
         if g.bipartition is None:
             print("error: --bipartite needs a graph with a bipartite header", file=sys.stderr)
             return 2
-        cover, rep = path_cover_bipartite(g, cfg)
-        limit = paths_limit_bipartite(cfg.c)
-    else:
-        cover, rep = path_cover(g, cfg)
-        limit = paths_limit(cfg.c)
+    cover, rep, limit = _cover(g, cfg, args.bipartite)
     text = write_cover_file(cover)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -249,14 +256,8 @@ def _run_trial(
         spec = GenSpec(n=n, k=k, family=family, seed=seed)
         g = generate(spec)
         cfg = PipelineConfig.derive(c, alpha, seed=seed)
-        if family == "random-bipartite-regular":
-            cover, rep = path_cover_bipartite(g, cfg)
-            limit = paths_limit_bipartite(c)
-        else:
-            cover, rep = path_cover(g, cfg)
-            limit = paths_limit(c)
-        cap = int(Fraction(round(alpha * 10**9), 10**9) * n)
-        check = verify_cover(g, cover, max_count=limit, max_uncovered=cap)
+        cover, rep, limit = _cover(g, cfg, family == "random-bipartite-regular")
+        check = verify_cover(g, cover, max_count=limit, max_uncovered=int(_dec(alpha) * n))
         row = BenchRow(
             seed=seed,
             family=family,

@@ -151,14 +151,7 @@ def random_bipartite_regular(spec: GenSpec) -> Graph:
         raise ValueError(f"need k <= n/2, got k={k}, n={n}")
     if k > side // 2:
         flipped = GenSpec(n, side - k, "random-bipartite-regular", spec.seed)
-        comp = random_bipartite_regular(flipped)
-        edges = [
-            (x, side + y)
-            for x in range(side)
-            for y in range(side)
-            if not comp.adjacent(x, side + y)
-        ]
-        return Graph(n, edges, bipartition=(range(side), range(side, n)))
+        return complement(random_bipartite_regular(flipped))
     if k == 0:
         return Graph(n, [], bipartition=(range(side), range(side, n)))
     rng = random.Random(mix64(spec.seed, 0xB1B, n, k))

@@ -1,14 +1,17 @@
 """Immutable simple undirected graphs with dense 0..n-1 vertex ids.
 
-Adjacency is stored both as neighbor bitmasks (for subset counting, which
-dominates the regularity checks) and as a frozen edge set. Graphs may carry
-an optional bipartition (X, Y); every edge must then cross it.
+Adjacency is stored only as neighbor bitmasks: every count the pipeline
+makes is a popcount of |N(v) & S|, and complement and induced subgraphs are
+mask operations. Graphs may carry an optional bipartition (X, Y); every edge
+must then cross it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
+
+import numpy as np
 
 from ._bits import bits, mask_of, set_of
 
@@ -26,7 +29,7 @@ class GraphFormatError(ValueError):
 class Graph:
     """Simple undirected graph. Immutable after construction."""
 
-    __slots__ = ("n", "_adj", "_edges", "_bipartition")
+    __slots__ = ("n", "_adj", "_bipartition")
 
     def __init__(
         self,
@@ -36,43 +39,48 @@ class Graph:
     ):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        self.n = n
         adj = [0] * n
-        canon = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at {u}")
-            a, b = (u, v) if u < v else (v, u)
-            if (a, b) in canon:
-                raise ValueError(f"duplicate edge ({a},{b})")
-            canon.add((a, b))
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-        self._adj = tuple(adj)
-        self._edges = frozenset(canon)
+            bit = 1 << v
+            if adj[u] & bit:
+                raise ValueError(f"duplicate edge ({min(u, v)},{max(u, v)})")
+            adj[u] |= bit
+            adj[v] |= 1 << u
+        bip = None
         if bipartition is not None:
             x, y = frozenset(bipartition[0]), frozenset(bipartition[1])
             if x & y:
                 raise ValueError("bipartition sides overlap")
             if x | y != frozenset(range(n)):
                 raise ValueError("bipartition must cover all vertices")
-            xm = mask_of(x)
-            for a, b in canon:
-                if ((xm >> a) & 1) == ((xm >> b) & 1):
-                    raise ValueError(f"edge ({a},{b}) does not cross the bipartition")
-            self._bipartition = (x, y)
-        else:
-            self._bipartition = None
+            for side in (x, y):
+                sm = mask_of(side)
+                for a in side:
+                    if adj[a] & sm:
+                        a, b = sorted((a, (adj[a] & sm).bit_length() - 1))
+                        raise ValueError(f"edge ({a},{b}) does not cross the bipartition")
+            bip = (x, y)
+        self.n, self._adj, self._bipartition = n, tuple(adj), bip
+
+    @classmethod
+    def _from_masks(cls, adj: tuple[int, ...], bip=None) -> "Graph":
+        """Graph on already valid (symmetric, loop-free, side-crossing) masks."""
+        g = object.__new__(cls)
+        g.n, g._adj, g._bipartition = len(adj), adj, bip
+        return g
 
     @property
     def m(self) -> int:
-        return len(self._edges)
+        return sum(a.bit_count() for a in self._adj) // 2
 
     @property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        return self._edges
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """All edges (u, v) with u < v, in sorted order."""
+        return tuple((u, u + 1 + w) for u, a in enumerate(self._adj) for w in bits(a >> (u + 1)))
 
     @property
     def bipartition(self) -> Optional[tuple[VertexSet, VertexSet]]:
@@ -108,14 +116,10 @@ class Graph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self._edges == other._edges
-            and self._bipartition == other._bipartition
-        )
+        return self._adj == other._adj and self._bipartition == other._bipartition
 
     def __hash__(self) -> int:
-        return hash((self.n, self._edges, self._bipartition))
+        return hash((self._adj, self._bipartition))
 
     def __repr__(self) -> str:
         bi = ", bipartite" if self._bipartition else ""
@@ -144,31 +148,31 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, .
     Returns (subgraph, mapping) where mapping[new_id] = old_id.
     """
     old_ids = sorted(set(keep))
-    new_of = {old: new for new, old in enumerate(old_ids)}
-    sub_edges = [
-        (new_of[u], new_of[v])
-        for u, v in g.edges
-        if u in new_of and v in new_of
-    ]
-    bip = None
-    if g.bipartition is not None:
-        x, y = g.bipartition
-        bip = (
-            [new_of[v] for v in x if v in new_of],
-            [new_of[v] for v in y if v in new_of],
-        )
-    return Graph(len(old_ids), sub_edges, bipartition=bip), tuple(old_ids)
+    if old_ids and not (0 <= old_ids[0] and old_ids[-1] < g.n):
+        raise ValueError(f"induced_subgraph: vertices must lie in 0..{g.n - 1}")
+    # unpack the kept rows to a bit matrix, keep the kept columns, repack
+    nbytes = (g.n + 7) // 8
+    rows = b"".join(g._adj[v].to_bytes(nbytes, "little") for v in old_ids)
+    grid = np.frombuffer(rows, dtype=np.uint8).reshape(len(old_ids), nbytes)
+    kept = np.unpackbits(grid, axis=1, bitorder="little")[:, old_ids]
+    packed = np.packbits(kept, axis=1, bitorder="little")
+    adj = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+    bip = None if g.bipartition is None else tuple(
+        frozenset(i for i, v in enumerate(old_ids) if v in side) for side in g.bipartition
+    )
+    return Graph._from_masks(adj, bip), tuple(old_ids)
 
 
 def complement(g: Graph) -> Graph:
-    """Complement graph (no bipartition carried over)."""
-    edges = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if not g.adjacent(u, v)
-    ]
-    return Graph(g.n, edges)
+    """Complement graph. A bipartite graph is complemented within its
+    bipartition: X-Y pairs swap edge and non-edge, and the sides are kept."""
+    full = (1 << g.n) - 1
+    if g.bipartition is None:
+        allowed = [full ^ (1 << v) for v in range(g.n)]
+    else:
+        xm = mask_of(g.bipartition[0])
+        allowed = [full ^ xm if (xm >> v) & 1 else xm for v in range(g.n)]
+    return Graph._from_masks(tuple(a ^ b for a, b in zip(g._adj, allowed)), g.bipartition)
 
 
 def read_graph(text: str) -> Graph:
@@ -248,6 +252,6 @@ def write_graph(g: Graph) -> str:
         if x != frozenset(range(k)):
             raise ValueError("only prefix bipartitions (X = 0..k-1) can be serialized")
         lines.append(f"bipartite {k}")
-    for u, v in sorted(g.edges):
+    for u, v in g.edges:
         lines.append(f"{u} {v}")
     return "\n".join(lines) + "\n"

@@ -910,7 +910,7 @@ def verify_cover(
         vs = unit.vertices
         pairs = zip(vs, vs[1:] + vs[:1]) if closed else zip(vs, vs[1:])
         for a, b in pairs:
-            if not g.adjacent(a, b):
+            if not (0 <= a < g.n and 0 <= b < g.n and g.adjacent(a, b)):
                 bad_edge = (u_idx, a, b)
                 break
         if bad_edge:

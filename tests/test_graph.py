@@ -132,17 +132,69 @@ def test_induced_subgraph_relabels():
     assert mapping == (0, 2, 4)
 
 
+@pytest.mark.parametrize("keep", [[0, 7], [-1, 0], [3]])
+def test_induced_subgraph_rejects_foreign_vertices(keep):
+    with pytest.raises(ValueError):
+        induced_subgraph(Graph(3, [(0, 1), (1, 2)]), keep)
+
+
 def test_complement_of_empty_is_complete():
     g = complement(Graph(4, []))
     assert g.m == 6
 
 
 @st.composite
-def graphs(draw, max_n=8):
+def graphs(draw, max_n=8, bipartite=False):
     n = draw(st.integers(min_value=1, max_value=max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    # a bipartite draw has X = 0..split-1 and only crossing pairs
+    split = draw(st.integers(min_value=0, max_value=n)) if bipartite else None
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if split is None or u < split <= v]
     picks = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return Graph(n, [p for p, keep in zip(pairs, picks) if keep])
+    bip = None if split is None else (range(split), range(split, n))
+    return Graph(n, [p for p, keep in zip(pairs, picks) if keep], bipartition=bip)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs())
+def test_complement_is_an_involution(g):
+    h = complement(g)
+    assert complement(h) == g
+    assert g.m + h.m == g.n * (g.n - 1) // 2
+    assert not any(h.adjacent(u, v) for u, v in g.edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(bipartite=True))
+def test_bipartite_complement_keeps_sides(g):
+    h = complement(g)
+    x, y = g.bipartition
+    assert h.bipartition == (x, y)
+    for side, other in ((x, y), (y, x)):
+        for v in side:
+            assert h.degree(v) == len(other) - g.degree(v)
+    assert complement(h) == g
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(graphs(), graphs(bipartite=True)), st.randoms(use_true_random=False))
+def test_induced_subgraph_matches_edge_list_definition(g, rng):
+    keep = sorted(rng.sample(range(g.n), rng.randint(0, g.n)))
+    sub, mapping = induced_subgraph(g, keep)
+    assert mapping == tuple(keep)
+    new_of = {old: new for new, old in enumerate(keep)}
+    expected = sorted((new_of[u], new_of[v]) for u, v in g.edges if u in new_of and v in new_of)
+    assert list(sub.edges) == expected
+    if g.bipartition is not None:
+        sides = tuple(frozenset(new_of[v] for v in side if v in new_of) for side in g.bipartition)
+        assert sub.bipartition == sides
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(graphs(), graphs(bipartite=True)))
+def test_edges_sorted_and_counted(g):
+    assert list(g.edges) == sorted(set(g.edges))
+    assert g.m == len(g.edges) == sum(g.degrees()) // 2
+    assert all(u < v and g.adjacent(u, v) for u, v in g.edges)
 
 
 @settings(max_examples=60, deadline=None)

@@ -229,6 +229,16 @@ def test_verify_catches_non_edge():
     assert any(i.name == "adjacency" and not i.ok for i in chk.items)
 
 
+@pytest.mark.parametrize("pair", [(5, 0), (-1, 1)])
+def test_verify_reports_out_of_range_pair_as_non_edge(pair):
+    # -1 must not wrap around to vertex 2, which is a neighbor of 1
+    g = Graph(3, [(0, 1), (1, 2)])
+    chk = verify_cover(g, PathCover([Path(pair)], frozenset()))
+    adjacency = next(i for i in chk.items if i.name == "adjacency")
+    assert not adjacency.ok
+    assert adjacency.detail == f"unit 0 uses non-edge ({pair[0]},{pair[1]})"
+
+
 def test_verify_catches_count_overflow():
     g = complete(4)
     cover = PathCover([Path((0,)), Path((1,)), Path((2, 3))], frozenset())
