@@ -67,7 +67,7 @@ class Graph:
         self.n, self._adj, self._bipartition = n, tuple(adj), bip
 
     @classmethod
-    def _from_masks(cls, adj: tuple[int, ...], bip=None) -> "Graph":
+    def _from_masks(cls, adj: tuple[int, ...], bip) -> "Graph":
         """Graph on already valid (symmetric, loop-free, side-crossing) masks."""
         g = object.__new__(cls)
         g.n, g._adj, g._bipartition = len(adj), adj, bip
