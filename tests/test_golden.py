@@ -17,6 +17,7 @@ from pathcover.cli import main, write_cover_file
 from pathcover.generators import GenSpec, degree_from_ratio, extremal_family, generate
 from pathcover.graph import Graph, write_graph
 from pathcover.pipeline import PipelineConfig, path_cover, path_cover_bipartite
+from pathcover.regularity import equitable_partition, is_eps_regular
 
 GOLDEN = FsPath(__file__).parent / "golden"
 
@@ -90,3 +91,58 @@ def test_path_cover_bipartite_bicliques_matches_golden():
     assert rep.connections == 1
     text = rep.to_kv_text() + write_cover_file(cover)
     assert text == (GOLDEN / "path_cover_bipartite_bicliques80.txt").read_text()
+
+
+def test_path_cover_bipartite_fallback_loop_matches_golden():
+    # six disjoint K_{20,20}: the first pass misses the path limit, and the
+    # first fallback attempt of the path stage (a fresh path strip) wins
+    g = extremal_family(GenSpec(240, 20, "disjoint-bicliques"))
+    cover, rep = path_cover_bipartite(g, PipelineConfig.derive(0.083333333, 0.1, seed=0))
+    assert rep.success
+    text = rep.to_kv_text() + write_cover_file(cover)
+    assert text == (GOLDEN / "path_cover_bipartite_bicliques240.txt").read_text()
+
+
+# graph name -> (graph, c of its degree); whole clusters take the heuristic
+# verdict, every fourth of their first 32 vertices the exact one
+REGULARITY_GRAPHS = {
+    "random-regular-120": lambda: (generate(GenSpec(120, 36, "random-regular", 0)), 0.3),
+    "random-bipartite-regular-120": lambda: (
+        generate(GenSpec(120, 18, "random-bipartite-regular", 0)),
+        0.3,
+    ),
+    "k240": lambda: (Graph(240, [(u, v) for u in range(240) for v in range(u + 1, 240)]), 0.995833333),
+}
+
+
+def _vertex_list(vs) -> str:
+    return ",".join(map(str, sorted(vs))) if vs else "-"
+
+
+def _regularity_lines(name: str) -> list[str]:
+    g, c = REGULARITY_GRAPHS[name]()
+    clusters = equitable_partition(g, 4, seed=0).clusters
+    lines = []
+    for eps in (PipelineConfig.derive(c, 0.1).eps, 0.2, 0.34):
+        for i in range(len(clusters)):
+            for j in range(i + 1, len(clusters)):
+                for part in (slice(None), slice(0, 32, 4)):
+                    a, b = sorted(clusters[i])[part], sorted(clusters[j])[part]
+                    v = is_eps_regular(g, a, b, eps)
+                    w = v.witness
+                    lines.append(
+                        f"{name} eps={eps:.6g} pair={i},{j} sides={len(a)}x{len(b)} "
+                        f"regular={v.regular} mode={v.mode} "
+                        + (
+                            "witness=-"
+                            if w is None
+                            else f"x={_vertex_list(w.x)} y={_vertex_list(w.y)} deviation={w.deviation}"
+                        )
+                    )
+    return lines
+
+
+@pytest.mark.parametrize("name", sorted(REGULARITY_GRAPHS))
+def test_regularity_verdicts_match_golden(name):
+    golden = (GOLDEN / "regularity_verdicts.txt").read_text().splitlines()
+    assert _regularity_lines(name) == [line for line in golden if line.startswith(name + " ")]
