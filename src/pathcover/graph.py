@@ -1,15 +1,16 @@
 """Immutable simple undirected graphs with dense 0..n-1 vertex ids.
 
-Adjacency is stored only as neighbor bitmasks: every count the pipeline
-makes is a popcount of |N(v) & S|, and complement and induced subgraphs are
-mask operations. Graphs may carry an optional bipartition (X, Y); every edge
+Adjacency is stored only as neighbor bitmasks: counts are popcounts of
+|N(v) & S|, and complement and induced subgraphs are mask operations. Where
+a whole 0/1 matrix is needed, one private kernel unpacks mask rows into a
+numpy block. Graphs may carry an optional bipartition (X, Y); every edge
 must then cross it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -92,6 +93,8 @@ class Graph:
         return self._adj[v]
 
     def adjacent(self, u: int, v: int) -> bool:
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise ValueError(f"vertex pair ({u},{v}) out of range")
         return bool((self._adj[u] >> v) & 1)
 
     def neighbors(self, v: int) -> frozenset[int]:
@@ -126,9 +129,25 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m}{bi})"
 
 
+def _vertex_mask(g: Graph, vertices: Iterable[int]) -> int:
+    """Bitmask of `vertices`; ValueError unless they all lie in 0..n-1."""
+    mask = mask_of(vertices)  # a negative id raises ValueError here
+    if mask >> g.n:
+        raise ValueError(f"vertices must lie in 0..{g.n - 1}")
+    return mask
+
+
+def _adjacency_block(g: Graph, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
+    """0/1 uint8 matrix with [i, j] = 1 iff rows[i] ~ cols[j]; ids in 0..n-1."""
+    nbytes = (g.n + 7) // 8
+    packed = b"".join(g._adj[v].to_bytes(nbytes, "little") for v in rows)
+    grid = np.frombuffer(packed, dtype=np.uint8).reshape(len(rows), nbytes)
+    return np.unpackbits(grid, axis=1, bitorder="little")[:, cols]
+
+
 def density(g: Graph, a: Iterable[int], b: Iterable[int]) -> Fraction:
     """Exact edge density e(a,b) / (|a|*|b|) between disjoint nonempty sets."""
-    am, bm = mask_of(a), mask_of(b)
+    am, bm = _vertex_mask(g, a), _vertex_mask(g, b)
     if am == 0 or bm == 0:
         raise ValueError("density needs nonempty sets")
     if am & bm:
@@ -139,7 +158,7 @@ def density(g: Graph, a: Iterable[int], b: Iterable[int]) -> Fraction:
 
 def degree_into(g: Graph, v: int, s: Iterable[int]) -> int:
     """|N(v) ∩ s|."""
-    return (g.adjacency_mask(v) & mask_of(s)).bit_count()
+    return (g.adjacency_mask(v) & _vertex_mask(g, s)).bit_count()
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -150,12 +169,7 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, .
     old_ids = sorted(set(keep))
     if old_ids and not (0 <= old_ids[0] and old_ids[-1] < g.n):
         raise ValueError(f"induced_subgraph: vertices must lie in 0..{g.n - 1}")
-    # unpack the kept rows to a bit matrix, keep the kept columns, repack
-    nbytes = (g.n + 7) // 8
-    rows = b"".join(g._adj[v].to_bytes(nbytes, "little") for v in old_ids)
-    grid = np.frombuffer(rows, dtype=np.uint8).reshape(len(old_ids), nbytes)
-    kept = np.unpackbits(grid, axis=1, bitorder="little")[:, old_ids]
-    packed = np.packbits(kept, axis=1, bitorder="little")
+    packed = np.packbits(_adjacency_block(g, old_ids, old_ids), axis=1, bitorder="little")
     adj = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
     bip = None if g.bipartition is None else tuple(
         frozenset(i for i, v in enumerate(old_ids) if v in side) for side in g.bipartition

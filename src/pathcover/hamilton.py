@@ -201,25 +201,31 @@ def _close_cycle(
     return None
 
 
-def _heuristic_longest_path(
+def _longest_search(
     adj: Sequence[int],
     active: int,
     n_active: int,
     seed: int,
     budget_total: int,
-) -> list[int]:
-    rng = random.Random(mix64(seed, 0x9A7B))
+    close: bool,
+) -> Optional[list[int]]:
+    """Rotation-extension from random starts until the budget runs out or a
+    spanning result appears. Keeps the longest path or, with `close`, the
+    longest path that closes into a cycle on its own vertex set."""
+    rng = random.Random(seed)
     budget = _Budget(budget_total)
     rot_cap = max(10 * n_active, 10)
-    best: list[int] = []
     starts = list(bits(active))
+    best: Optional[list[int]] = None
     while budget.left > 0:
         start = starts[rng.randrange(len(starts))]
-        path = _grow_path(adj, active, start, rng, budget, rot_cap)
-        if len(path) > len(best):
-            best = path
-        if len(best) == n_active:
-            break
+        found = _grow_path(adj, active, start, rng, budget, rot_cap)
+        if close:
+            found = _close_cycle(adj, found, rng, budget)
+        if found is not None and (best is None or len(found) > len(best)):
+            best = found
+            if len(best) == n_active:
+                break
         budget.left -= 1  # restart overhead so zero-rotation stalls terminate
     return best
 
@@ -323,9 +329,9 @@ def hamiltonian_path(
     active = (1 << g.n) - 1
     total = budget if budget is not None else 50 * 10 * g.n
     adj = [g.adjacency_mask(v) for v in range(g.n)]
-    found = _heuristic_longest_path(adj, active, g.n, seed, total)
+    found = _longest_search(adj, active, g.n, mix64(seed, 0x9A7B), total, close=False)
     best = Path(tuple(found)) if found else None
-    if len(found) == g.n:
+    if found and len(found) == g.n:
         return PathSearch(best, best)
     if g.n <= exhaustive_cap:
         exact = _dp_hamiltonian_path(adj, active)
@@ -365,28 +371,16 @@ def spanning_cycle_bipartite(
     if any(adj[v].bit_count() < 2 for v in bits(active)):
         return CycleSearch(None, None)
     total = budget if budget is not None else 50 * 10 * nx
-    rng = random.Random(mix64(seed, 0xC1C7E))
-    budget_ = _Budget(total)
-    rot_cap = max(10 * n_active, 10)
-    starts = list(bits(active))
-    best_cycle: Optional[Cycle] = None
-    while budget_.left > 0:
-        start = starts[rng.randrange(len(starts))]
-        path = _grow_path(adj, active, start, rng, budget_, rot_cap)
-        closed = _close_cycle(adj, path, rng, budget_)
-        if closed is not None:
-            cyc = Cycle(tuple(closed))
-            if best_cycle is None or len(cyc) > len(best_cycle):
-                best_cycle = cyc
-            if len(closed) == n_active:
-                return CycleSearch(best_cycle, best_cycle)
-        budget_.left -= 1
+    found = _longest_search(adj, active, n_active, mix64(seed, 0xC1C7E), total, close=True)
+    best = Cycle(tuple(found)) if found else None
+    if found and len(found) == n_active:
+        return CycleSearch(best, best)
     if n_active <= exhaustive_cap:
         exact = _dp_hamiltonian_cycle(adj, active)
         if exact is not None:
             cyc = Cycle(tuple(exact))
             return CycleSearch(cyc, cyc)
-    return CycleSearch(None, best_cycle)
+    return CycleSearch(None, best)
 
 
 def longest_path(
@@ -402,8 +396,8 @@ def longest_path(
     n_active = active.bit_count()
     adj = [g.adjacency_mask(v) if (active >> v) & 1 else 0 for v in range(g.n)]
     total = budget if budget is not None else 20 * 10 * n_active
-    found = _heuristic_longest_path(adj, active, n_active, seed, total)
-    return Path(tuple(found))
+    found = _longest_search(adj, active, n_active, mix64(seed, 0x9A7B), total, close=False)
+    return Path(tuple(found or ()))
 
 
 def longest_cycle(
@@ -421,21 +415,8 @@ def longest_cycle(
         return None
     adj = [g.adjacency_mask(v) & active if (active >> v) & 1 else 0 for v in range(g.n)]
     total = budget if budget is not None else 20 * 10 * n_active
-    rng = random.Random(mix64(seed, 0x10C))
-    budget_ = _Budget(total)
-    rot_cap = max(10 * n_active, 10)
-    starts = list(bits(active))
-    best: Optional[list[int]] = None
-    while budget_.left > 0:
-        start = starts[rng.randrange(len(starts))]
-        path = _grow_path(adj, active, start, rng, budget_, rot_cap)
-        closed = _close_cycle(adj, path, rng, budget_)
-        if closed is not None and (best is None or len(closed) > len(best)):
-            best = closed
-            if len(best) == n_active:
-                break
-        budget_.left -= 1
-    return Cycle(tuple(best)) if best is not None else None
+    found = _longest_search(adj, active, n_active, mix64(seed, 0x10C), total, close=True)
+    return Cycle(tuple(found)) if found is not None else None
 
 
 def cycle_to_path(c: Cycle, drop: Optional[int] = None) -> Path:

@@ -22,7 +22,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from ._bits import bits, mask_of, mix64
 from .generators import degree_from_ratio
@@ -364,7 +364,8 @@ def cycle_cover(
             )
             cycles = None
     if cycles is None:
-        cycles = _fallback_cycles(g, cfg, rep, alpha_cap)
+        t_cap = cfg.t if cfg.t is not None else max(_default_t(n), 4)
+        cycles = _strip(g, longest_cycle, range(n), (cfg.seed, 0xFA11), t_cap, keep=alpha_cap)
         rep.method = "greedy-fallback"
     covered = _covered_vertices(cycles)
     rep.cycles_found = len(cycles)
@@ -453,30 +454,33 @@ def _regularity_cycles(
     return cycles
 
 
-def _fallback_cycles(
+def _strip(
     g: Graph,
-    cfg: PipelineConfig,
-    rep: RunReport,
-    alpha_cap: int,
-) -> list[Cycle]:
-    n = g.n
-    t_cap = cfg.t if cfg.t is not None else max(_default_t(n), 4)
-    active = set(range(n))
-    cycles: list[Cycle] = []
-    idx = 0
-    while len(active) >= 3 and n - _covered_count(cycles) > alpha_cap and len(cycles) < t_cap:
-        found = longest_cycle(
+    find: Callable[..., Optional[Union[Path, Cycle]]],
+    active: Iterable[int],
+    seed_prefix: tuple[int, ...],
+    cap: int,
+    keep: int = 0,
+    budget_factor: int = 12,
+) -> list:
+    """Greedy stripping: take what `find` (`longest_cycle` or `longest_path`)
+    returns inside the active vertices and remove it, until there are `cap`
+    units, at most `keep` active vertices are left, or `find` returns None.
+    Unit idx is searched with seed mix64(*seed_prefix, idx)."""
+    active = set(active)
+    units: list = []
+    while len(units) < cap and len(active) > keep:
+        found = find(
             g,
             within=active,
-            budget=12 * len(active),
-            seed=mix64(cfg.seed, 0xFA11, idx),
+            budget=budget_factor * len(active),
+            seed=mix64(*seed_prefix, len(units)),
         )
-        idx += 1
-        if found is None or len(found) < 3:
+        if found is None:
             break
-        cycles.append(found)
+        units.append(found)
         active -= set(found.vertices)
-    return cycles
+    return units
 
 
 # ------------------------------------------------------------ path connection
@@ -701,29 +705,6 @@ def _cycles_to_paths(
     return out
 
 
-def _strip_paths(
-    g: Graph,
-    active: set[int],
-    seed: int,
-    cap: int,
-    budget_factor: int = 12,
-) -> list[Path]:
-    paths: list[Path] = []
-    idx = 0
-    active = set(active)
-    while active and len(paths) < cap:
-        p = longest_path(
-            g,
-            within=active,
-            budget=budget_factor * max(len(active), 1),
-            seed=mix64(seed, 0x57A1, idx),
-        )
-        idx += 1
-        paths.append(p)
-        active -= set(p.vertices)
-    return paths
-
-
 def _finalize(
     g: Graph,
     paths: list[Path],
@@ -802,7 +783,7 @@ def _path_stage(
     _copy_cycle_stage(rep, crep)
     paths = _cycles_to_paths(cycset, mapping)
     if not paths:
-        paths = _strip_paths(g, set(rest), mix64(cfg.seed, 2), cap=3 * (limit + 1))
+        paths = _strip(g, longest_path, rest, (mix64(cfg.seed, 2), 0x57A1), 3 * (limit + 1))
         rep.method = "greedy-fallback"
     paths = _connect_absorb(g, paths, r, limit, rep, sides)
     cover = _finalize(g, paths, limit, alpha_cap, rep)
@@ -815,11 +796,12 @@ def _path_stage(
         fb_rep = RunReport(n=n, method="greedy-fallback")
         fb_rep.reservoir_size = len(r)
         fb_rep.reservoir_vertices = r
-        fb_paths = _strip_paths(
+        fb_paths = _strip(
             g,
-            set(rest),
-            mix64(cfg.seed, 3, attempt),
-            cap=3 * (limit + 1),
+            longest_path,
+            rest,
+            (mix64(cfg.seed, 3, attempt), 0x57A1),
+            3 * (limit + 1),
             budget_factor=12 + 8 * attempt,
         )
         fb_paths = _connect_absorb(g, fb_paths, r, limit, fb_rep, sides)

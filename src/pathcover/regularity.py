@@ -29,7 +29,7 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from ._bits import bits, mask_of, mix64
-from .graph import Graph, VertexSet, density
+from .graph import Graph, VertexSet, _adjacency_block, _vertex_mask, density
 
 EXACT_CAP = 10
 
@@ -125,15 +125,22 @@ def equitable_partition(g: Graph, t: int, seed: int = 0, refine: int = 20) -> Pa
     return best
 
 
+def _pair_counts(g: Graph, p: Partition) -> dict[tuple[int, int], int]:
+    """e(V_i, V_j) for every cluster pair i < j, in that order."""
+    masks = [mask_of(cl) for cl in p.clusters]
+    return {
+        (i, j): sum((g.adjacency_mask(v) & masks[j]).bit_count() for v in p.clusters[i])
+        for i in range(p.t)
+        for j in range(i + 1, p.t)
+    }
+
+
 def _mean_square_density(g: Graph, p: Partition) -> float:
     if p.t < 2:
         return 0.0
-    masks = [mask_of(cl) for cl in p.clusters]
     total = 0.0
-    for i in range(p.t):
-        for j in range(i + 1, p.t):
-            e = sum((g.adjacency_mask(v) & masks[j]).bit_count() for v in bits(masks[i]))
-            total += (e / (p.m * p.m)) ** 2
+    for e in _pair_counts(g, p).values():  # plain left-to-right sum: its rounding picks the draw
+        total += (e / (p.m * p.m)) ** 2
     return total / (p.t * (p.t - 1) / 2)
 
 
@@ -149,7 +156,7 @@ def is_eps_regular(
     Regular means every X ⊆ a, Y ⊆ b with |X| > eps|a|, |Y| > eps|b| has
     |d(X,Y) - d(a,b)| < eps.
     """
-    am, bm = mask_of(a), mask_of(b)
+    am, bm = _vertex_mask(g, a), _vertex_mask(g, b)
     if am == 0 or bm == 0:
         raise ValueError("regularity needs nonempty sets")
     if am & bm:
@@ -205,12 +212,7 @@ def _exact_check(g: Graph, a_list: list[int], b_list: list[int], eps: Fraction) 
 def _heuristic_check(g: Graph, a_list: list[int], b_list: list[int], eps: Fraction) -> RegularityVerdict:
     na, nb = len(a_list), len(b_list)
     p, q = eps.numerator, eps.denominator
-    bmask = mask_of(b_list)
-    bpos = {v: j for j, v in enumerate(b_list)}
-    mat = np.zeros((na, nb), dtype=np.int64)
-    for i, va in enumerate(a_list):
-        for vb in bits(g.adjacency_mask(va) & bmask):
-            mat[i, bpos[vb]] = 1
+    mat = _adjacency_block(g, a_list, b_list)
     d_ab = mat.sum() / (na * nb)
     eps_float = p / q
     row_asc = np.argsort(mat.sum(axis=1), kind="stable")
@@ -247,14 +249,11 @@ def build_cluster_graph(g: Graph, p: Partition, d: Threshold) -> ClusterGraph:
     """Cluster graph with an edge exactly when the pair density is >= d."""
     p.validate(g)
     dfrac = Fraction(d)
-    masks = [mask_of(cl) for cl in p.clusters]
     edges: dict[tuple[int, int], Fraction] = {}
-    for i in range(p.t):
-        for j in range(i + 1, p.t):
-            e = sum((g.adjacency_mask(v) & masks[j]).bit_count() for v in bits(masks[i]))
-            dij = Fraction(e, p.m * p.m)
-            if dij >= dfrac:
-                edges[(i, j)] = dij
+    for pair, e in _pair_counts(g, p).items():
+        dij = Fraction(e, p.m * p.m)
+        if dij >= dfrac:
+            edges[pair] = dij
     return ClusterGraph(p.t, dfrac, edges)
 
 

@@ -60,6 +60,26 @@ def test_degree_into_invalid_vertex():
         degree_into(Graph(3, []), 5, {0})
 
 
+def cycle10():
+    return Graph(10, [(i, (i + 1) % 10) for i in range(10)])
+
+
+@pytest.mark.parametrize(
+    "count",
+    [lambda g: density(g, [0], [50]), lambda g: density(g, [50], [0]), lambda g: degree_into(g, 0, [50])],
+    ids=["density-b", "density-a", "degree_into"],
+)
+def test_counts_reject_foreign_vertices(count):
+    with pytest.raises(ValueError):
+        count(cycle10())
+
+
+@pytest.mark.parametrize("u, v", [(-1, 1), (1, -1), (50, 5), (5, 50)])
+def test_adjacent_rejects_foreign_vertices(u, v):
+    with pytest.raises(ValueError):
+        cycle10().adjacent(u, v)
+
+
 def test_read_simple_path():
     g = read_graph("3 2\n0 1\n1 2")
     assert g.n == 3 and sorted(g.edges) == [(0, 1), (1, 2)]
