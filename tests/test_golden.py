@@ -9,13 +9,16 @@ says why.
 """
 
 import hashlib
+import random
 from pathlib import Path as FsPath
 
 import pytest
 
+from pathcover._bits import mix64
 from pathcover.cli import main, write_cover_file
 from pathcover.generators import GenSpec, degree_from_ratio, extremal_family, generate
 from pathcover.graph import Graph, write_graph
+from pathcover.hamilton import hamiltonian_path, spanning_cycle_bipartite
 from pathcover.pipeline import PipelineConfig, path_cover, path_cover_bipartite
 from pathcover.regularity import equitable_partition, is_eps_regular
 
@@ -146,3 +149,37 @@ def _regularity_lines(name: str) -> list[str]:
 def test_regularity_verdicts_match_golden(name):
     golden = (GOLDEN / "regularity_verdicts.txt").read_text().splitlines()
     assert _regularity_lines(name) == [line for line in golden if line.startswith(name + " ")]
+
+
+def _exact_dp_lines() -> list[str]:
+    """Spanning paths and alternating spanning cycles found by the exact DP
+    (budget 0 skips the heuristic) on seeded random graphs. Bipartite sides
+    are random disjoint vertex sets inside a host with up to 3 extra vertices
+    and edges inside the sides, which the search must ignore."""
+    lines = []
+    for i in range(300):
+        rng = random.Random(mix64(0xD9, i))
+        n = rng.randint(1, 12)
+        p = rng.uniform(0.15, 0.75)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        res = hamiltonian_path(g, budget=0)
+        lines.append(f"path i={i} n={n} m={g.m} -> " + (" ".join(map(str, res.path.vertices)) if res.ok else "none"))
+    for i in range(200):
+        rng = random.Random(mix64(0xDC, i))
+        side = rng.randint(2, 7)
+        n = 2 * side + rng.randint(0, 3)
+        p = rng.uniform(0.3, 0.9)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        ids = rng.sample(range(n), 2 * side)
+        x, y = ids[:side], ids[side:]
+        res = spanning_cycle_bipartite(g, x, y, budget=0)
+        lines.append(
+            f"cycle i={i} n={n} m={g.m} x={_vertex_list(x)} y={_vertex_list(y)} -> "
+            + (" ".join(map(str, res.cycle.vertices)) if res.ok else "none")
+        )
+    return lines
+
+
+def test_exact_dp_matches_golden():
+    golden = (GOLDEN / "exact_dp.txt").read_text().splitlines()
+    assert _exact_dp_lines() == [line for line in golden if not line.startswith("#")]

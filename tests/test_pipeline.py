@@ -20,6 +20,8 @@ from pathcover.pipeline import (
     PathCover,
     PipelineConfig,
     ReservoirError,
+    _absorb,
+    _concat_paths,
     chernoff_lower,
     chernoff_upper,
     connect_paths,
@@ -203,6 +205,56 @@ def test_connect_bipartite_never_uses_an_x_side_connector():
     assert connect_paths(g, paths, {2, 6}, limit=1)[2] == [(0, 1, 6)]
     got = connect_bipartite(g, paths, {2, 6}, limit=1)
     assert got == ([(0, 4), (1, 5)], frozenset({2, 6}), [], 0)
+
+
+# ------------------------------------------------------ direct joins and absorb
+
+
+@pytest.mark.parametrize(
+    "join, merged",
+    [
+        ((1, 2), (0, 1, 2, 3)),  # tail-head
+        ((1, 3), (0, 1, 3, 2)),  # tail-tail
+        ((0, 2), (1, 0, 2, 3)),  # head-head
+        ((0, 3), (1, 0, 3, 2)),  # head-tail
+    ],
+    ids=["tail-head", "tail-tail", "head-head", "head-tail"],
+)
+def test_concat_joins_each_end_pairing(join, merged):
+    g = Graph(4, [(0, 1), (2, 3), join])
+    assert _concat_paths(g, [Path((0, 1)), Path((2, 3))], 1) == ([Path(merged)], 1)
+
+
+def test_concat_prefers_tail_head_and_smallest_pair():
+    # every end pairing of paths 0 and 1 is an edge, and path 1's tail joins
+    # path 2's head; the pair (0, 1) is scanned first
+    g = Graph(6, [(0, 1), (2, 3), (4, 5), (1, 2), (1, 3), (0, 2), (0, 3), (3, 4)])
+    paths = [Path((0, 1)), Path((2, 3)), Path((4, 5))]
+    assert _concat_paths(g, paths, 2) == ([Path((4, 5)), Path((0, 1, 2, 3))], 1)
+    assert _concat_paths(g, paths, 1) == ([Path((5, 4, 3, 2, 1, 0))], 2)
+
+
+def test_absorb_extends_tail_before_head():
+    # 0 is adjacent to both ends of 1-2-3; the tail takes it
+    g = Graph(4, [(1, 2), (2, 3), (0, 1), (0, 3)])
+    free = {0}
+    assert _absorb(g, [Path((1, 2, 3))], free) == ([Path((1, 2, 3, 0))], 1)
+    assert free == set()
+
+
+def test_absorb_takes_smallest_free_vertex_first():
+    # the tail 1 sees 2 and 3; 2 goes first, and 3 has no later place
+    g = Graph(4, [(0, 1), (1, 2), (1, 3)])
+    free = {2, 3}
+    assert _absorb(g, [Path((0, 1))], free) == ([Path((0, 1, 2))], 1)
+    assert free == {3}
+
+
+def test_absorb_splices_at_first_gap():
+    # 6 sees no end but 1, 2, 3 and 4: the first gap is 1-2
+    g = Graph(7, [(i, i + 1) for i in range(5)] + [(6, v) for v in (1, 2, 3, 4)])
+    paths = [Path((0, 1, 2, 3, 4, 5))]
+    assert _absorb(g, paths, {6}) == ([Path((0, 1, 6, 2, 3, 4, 5))], 1)
 
 
 # ------------------------------------------------------------------ cover audit
