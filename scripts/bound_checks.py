@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Exact-oracle battery: the n/(k+1) path-cover bound on sampled regular
 graphs, matching value vs deficiency, and binomial tails vs their
-exponential bounds.
+exponential bounds. Runs `pathcover oracle` once per check and exits 1 if
+any check fails.
 
     python scripts/bound_checks.py
     python scripts/bound_checks.py --k 4 --n 10 --samples 500
@@ -9,17 +10,8 @@ exponential bounds.
 
 import argparse
 import sys
-from fractions import Fraction
 
-from pathcover.cli import _berge_tutte_instances
-from pathcover.matching import fractional_matching, max_deficiency
-from pathcover.oracle import (
-    binomial_tail_exact,
-    conjecture_spot_check,
-    cube_graph,
-    petersen_graph,
-)
-from pathcover.pipeline import chernoff_lower, chernoff_upper
+from pathcover.cli import main as pathcover
 
 
 def main() -> int:
@@ -30,44 +22,14 @@ def main() -> int:
     ap.add_argument("--tail-n-max", type=int, default=25)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
-    failures = 0
-
-    rep = conjecture_spot_check(
-        args.k, args.n, args.samples, seed=args.seed,
-        extras=[petersen_graph(), cube_graph()],
-    )
-    print(
-        f"path-cover bound: {rep.checked} instances, "
-        f"{len(rep.violations)} violations, max ratio {rep.max_ratio:.3f}"
-    )
-    failures += len(rep.violations)
-
-    mismatches = 0
-    count = 0
-    for g in _berge_tutte_instances(7, exhaustive=True, samples=200, seed=args.seed):
-        count += 1
-        if fractional_matching(g).value != Fraction(g.n - max_deficiency(g)[0], 2):
-            mismatches += 1
-    print(f"matching vs deficiency: {count} graphs, {mismatches} mismatches")
-    failures += mismatches
-
-    tail_violations = 0
-    for np_ in range(1, args.tail_n_max + 1):
-        for dec in range(1, 10):
-            zeta = Fraction(dec, 10)
-            for x in range(1, np_ + 1):
-                if binomial_tail_exact(np_, zeta, np_ * zeta + x, "ge") > Fraction(
-                    chernoff_upper(np_, dec / 10, x)
-                ):
-                    tail_violations += 1
-                if binomial_tail_exact(np_, zeta, np_ * zeta - x, "le") > Fraction(
-                    chernoff_lower(np_, dec / 10, x)
-                ):
-                    tail_violations += 1
-    print(f"binomial tails vs bounds: n' <= {args.tail_n_max}, {tail_violations} violations")
-    failures += tail_violations
-
-    return 0 if failures == 0 else 1
+    samples, seed = str(args.samples), str(args.seed)
+    checks = [
+        ["conjecture", "--k", str(args.k), "--n", str(args.n), "--samples", samples, "--seed", seed],
+        ["berge-tutte", "--n-max", "7", "--exhaustive", "--samples", samples, "--seed", seed],
+        ["chernoff", "--n-max", str(args.tail_n_max)],
+    ]
+    codes = [pathcover(["oracle", *check]) for check in checks]
+    return 0 if all(code == 0 for code in codes) else 1
 
 
 if __name__ == "__main__":

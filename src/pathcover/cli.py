@@ -258,36 +258,12 @@ def _run_trial(
         cfg = PipelineConfig.derive(c, alpha, seed=seed)
         cover, rep, limit = _cover(g, cfg, family == "random-bipartite-regular")
         check = verify_cover(g, cover, max_count=limit, max_uncovered=int(_dec(alpha) * n))
-        row = BenchRow(
-            seed=seed,
-            family=family,
-            n=n,
-            k=k,
-            c=c,
-            alpha=alpha,
-            method=rep.method,
-            paths=len(cover.paths),
-            uncovered=len(cover.uncovered),
-            runtime_ms=0.0,
-            success=check.ok,
-        )
+        outcome = (rep.method, len(cover.paths), len(cover.uncovered), check.ok)
     except Exception as exc:  # a crashed trial becomes a failed row
-        row = BenchRow(
-            seed=seed,
-            family=family,
-            n=n,
-            k=k,
-            c=c,
-            alpha=alpha,
-            method=f"error:{type(exc).__name__}",
-            paths=0,
-            uncovered=n,
-            runtime_ms=0.0,
-            success=False,
-        )
-    if timing == "wall":
-        row.runtime_ms = (time.perf_counter() - t0) * 1000.0
-    return row
+        outcome = (f"error:{type(exc).__name__}", 0, n, False)
+    method, paths, uncovered, success = outcome
+    runtime_ms = (time.perf_counter() - t0) * 1000.0 if timing == "wall" else 0.0
+    return BenchRow(seed, family, n, k, c, alpha, method, paths, uncovered, runtime_ms, success)
 
 
 def cmd_bench(args) -> int:

@@ -113,9 +113,6 @@ class Graph:
             raise ValueError("graph is not regular")
         return degs.pop()
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -131,9 +128,11 @@ class Graph:
 
 def _vertex_mask(g: Graph, vertices: Iterable[int]) -> int:
     """Bitmask of `vertices`; ValueError unless they all lie in 0..n-1."""
-    mask = mask_of(vertices)  # a negative id raises ValueError here
-    if mask >> g.n:
-        raise ValueError(f"vertices must lie in 0..{g.n - 1}")
+    mask = 0
+    for v in vertices:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertices must lie in 0..{g.n - 1}")
+        mask |= 1 << v
     return mask
 
 

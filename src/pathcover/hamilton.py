@@ -4,8 +4,8 @@ The workhorse is rotation-extension: grow a path greedily from both ends,
 and when stuck, rewire the tail end through a neighbor already on the path
 (suffix reversal) to expose a new endpoint. Spanning cycles close a spanning
 path either directly, through a crossing pair of chords, or by further
-rotations. For small host graphs (n <= 14 by default) an exhaustive bitmask
-DP provides ground truth, so failures below that size are proofs of
+rotations. For small host graphs (n <= EXHAUSTIVE_CAP = 14) one exhaustive
+bitmask DP provides ground truth, so failures up to that size are proofs of
 non-existence.
 
 Search failure is a value carrying the best structure found, not an error.
@@ -233,80 +233,36 @@ def _longest_search(
 # ---------------------------------------------------------------- exact DP
 
 
-def _dp_hamiltonian_path(adj: Sequence[int], active: int) -> Optional[list[int]]:
-    """Bitmask DP; returns a spanning path of the active set or None."""
+def _dp_spanning(adj: Sequence[int], active: int, cycle: bool) -> Optional[list[int]]:
+    """Bitmask DP for a spanning path (or, with `cycle`, a spanning cycle
+    through the smallest vertex) of the active set; None if there is none.
+    The walk back takes the smallest predecessor at every step."""
     verts = list(bits(active))
     n = len(verts)
-    if n == 1:
-        return verts
     idx = {v: i for i, v in enumerate(verts)}
     radj = [0] * n
     for i, v in enumerate(verts):
         for w in bits(adj[v] & active):
             radj[i] |= 1 << idx[w]
     full = (1 << n) - 1
+    # reach[mask]: ends of paths on exactly `mask`, started anywhere or at 0
     reach = [0] * (full + 1)
-    for i in range(n):
+    for i in range(1 if cycle else n):
         reach[1 << i] = 1 << i
     for mask in range(1, full + 1):
-        ends = reach[mask]
-        if not ends:
-            continue
-        for last in bits(ends):
+        for last in bits(reach[mask]):
             for nxt in bits(radj[last] & ~mask):
                 reach[mask | (1 << nxt)] |= 1 << nxt
-    if not reach[full]:
+    ends = reach[full] & radj[0] & ~1 if cycle else reach[full]
+    if not ends:
         return None
-    # walk backwards, smallest choices first
-    last = next(bits(reach[full]))
+    last = next(bits(ends))
     mask = full
     out = [last]
-    while mask != (1 << last):
-        prev_mask = mask ^ (1 << last)
-        for prev in bits(radj[last] & reach[prev_mask]):
-            last = prev
-            mask = prev_mask
-            out.append(last)
-            break
-    return [verts[i] for i in reversed(out)]
-
-
-def _dp_hamiltonian_cycle(adj: Sequence[int], active: int) -> Optional[list[int]]:
-    """Bitmask DP for a spanning cycle of the active set, or None."""
-    verts = list(bits(active))
-    n = len(verts)
-    if n < 3:
-        return None
-    idx = {v: i for i, v in enumerate(verts)}
-    radj = [0] * n
-    for i, v in enumerate(verts):
-        for w in bits(adj[v] & active):
-            radj[i] |= 1 << idx[w]
-    full = (1 << n) - 1
-    # paths anchored at vertex 0
-    reach = [0] * (full + 1)
-    reach[1] = 1
-    for mask in range(1, full + 1, 2):
-        ends = reach[mask]
-        if not ends:
-            continue
-        for last in bits(ends):
-            for nxt in bits(radj[last] & ~mask):
-                reach[mask | (1 << nxt)] |= 1 << nxt
-    closers = reach[full] & radj[0] & ~1
-    if n >= 3 and not closers:
-        return None
-    last = next(bits(closers))
-    mask = full
-    out = [last]
-    while mask != 1:
-        prev_mask = mask ^ (1 << last)
-        options = radj[last] & (reach[prev_mask] if prev_mask != 1 else 1)
-        for prev in bits(options):
-            last = prev
-            mask = prev_mask
-            out.append(last)
-            break
+    while mask != 1 << last:
+        mask ^= 1 << last
+        last = next(bits(radj[last] & reach[mask]))
+        out.append(last)
     return [verts[i] for i in reversed(out)]
 
 
@@ -317,11 +273,10 @@ def hamiltonian_path(
     g: Graph,
     budget: Optional[int] = None,
     seed: int = 0,
-    exhaustive_cap: int = EXHAUSTIVE_CAP,
 ) -> PathSearch:
     """Search for a path visiting every vertex once.
 
-    Heuristic first; below `exhaustive_cap` vertices a failed heuristic falls
+    Heuristic first; up to EXHAUSTIVE_CAP vertices a failed heuristic falls
     back to exact DP, so a failure there means no Hamiltonian path exists.
     """
     if g.n == 0:
@@ -333,8 +288,8 @@ def hamiltonian_path(
     best = Path(tuple(found)) if found else None
     if found and len(found) == g.n:
         return PathSearch(best, best)
-    if g.n <= exhaustive_cap:
-        exact = _dp_hamiltonian_path(adj, active)
+    if g.n <= EXHAUSTIVE_CAP:
+        exact = _dp_spanning(adj, active, cycle=False)
         if exact is not None:
             p = Path(tuple(exact))
             return PathSearch(p, p)
@@ -347,12 +302,12 @@ def spanning_cycle_bipartite(
     y: Iterable[int],
     budget: Optional[int] = None,
     seed: int = 0,
-    exhaustive_cap: int = EXHAUSTIVE_CAP,
 ) -> CycleSearch:
     """Search for a cycle covering all of x ∪ y, alternating between sides.
 
     Only x-y edges are considered, so any cycle found alternates. |x| = |y|
-    is required (a spanning alternating cycle forces balance).
+    is required (a spanning alternating cycle forces balance). Up to
+    EXHAUSTIVE_CAP vertices a failed heuristic falls back to exact DP.
     """
     xm, ym = mask_of(x), mask_of(y)
     if xm & ym:
@@ -375,8 +330,8 @@ def spanning_cycle_bipartite(
     best = Cycle(tuple(found)) if found else None
     if found and len(found) == n_active:
         return CycleSearch(best, best)
-    if n_active <= exhaustive_cap:
-        exact = _dp_hamiltonian_cycle(adj, active)
+    if n_active <= EXHAUSTIVE_CAP:
+        exact = _dp_spanning(adj, active, cycle=True)
         if exact is not None:
             cyc = Cycle(tuple(exact))
             return CycleSearch(cyc, cyc)
@@ -393,6 +348,8 @@ def longest_path(
     active = mask_of(within) if within is not None else (1 << g.n) - 1
     if not active:
         raise ValueError("empty vertex set")
+    if budget is not None and budget < 1:
+        raise ValueError(f"budget must be positive, got {budget}")
     n_active = active.bit_count()
     adj = [g.adjacency_mask(v) if (active >> v) & 1 else 0 for v in range(g.n)]
     total = budget if budget is not None else 20 * 10 * n_active

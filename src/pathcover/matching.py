@@ -46,12 +46,6 @@ class HalfIntegralMatching:
     def __post_init__(self):
         self.value = sum(self.weights.values(), Fraction(0))
 
-    def load(self, v: int) -> Fraction:
-        return sum(
-            (w for e, w in self.weights.items() if v in e),
-            Fraction(0),
-        )
-
     def validate(self, g: Graph) -> None:
         """Check feasibility, half-integrality, and the support shape."""
         load: dict[int, Fraction] = {}
@@ -213,15 +207,15 @@ def _walk(half_adj: dict[int, list[int]], start: int, second: Optional[int]) -> 
     return order
 
 
-def max_deficiency(g: Graph, cap: int = DEFICIENCY_CAP) -> tuple[int, frozenset[int]]:
+def max_deficiency(g: Graph) -> tuple[int, frozenset[int]]:
     """max over S of isolated(G - S) - |S|, with a maximizing S.
 
-    Exhaustive; requires n <= cap. Subsets are scanned by increasing size,
-    pruned by the bound isolated(G - S) <= #{v : deg(v) <= |S|}.
+    Exhaustive; requires n <= DEFICIENCY_CAP. Subsets are scanned by
+    increasing size, pruned by the bound isolated(G - S) <= #{v : deg(v) <= |S|}.
     """
     n = g.n
-    if n > cap:
-        raise SizeLimitError(f"n={n} exceeds exhaustive cap {cap}")
+    if n > DEFICIENCY_CAP:
+        raise SizeLimitError(f"n={n} exceeds exhaustive cap {DEFICIENCY_CAP}")
     adj = [g.adjacency_mask(v) for v in range(n)]
     degs = g.degrees()
     best_val = -(n + 1)

@@ -34,15 +34,16 @@ class ExactCoverResult:
     witness: PathCover
 
 
-def min_path_cover_exact(g: Graph, cap: int = PATH_COVER_CAP) -> ExactCoverResult:
-    """Exact minimum number of vertex-disjoint paths covering every vertex.
+def min_path_cover_exact(g: Graph) -> ExactCoverResult:
+    """Exact minimum number of vertex-disjoint paths covering every vertex;
+    requires n <= PATH_COVER_CAP.
 
     DP over (covered subset, endpoint of the open path), with a transition
     that closes the current path and opens a new one at any fresh vertex.
     """
     n = g.n
-    if n > cap:
-        raise SizeLimitError(f"n={n} exceeds exhaustive cap {cap}")
+    if n > PATH_COVER_CAP:
+        raise SizeLimitError(f"n={n} exceeds exhaustive cap {PATH_COVER_CAP}")
     if n == 0:
         return ExactCoverResult(0, PathCover([], frozenset()))
     adj = [g.adjacency_mask(v) for v in range(n)]
@@ -124,11 +125,11 @@ def _reconstruct_cover(adj, edges, full, last, n) -> list[list[int]]:
     return [list(reversed(p)) for p in reversed(paths)]
 
 
-def independence_number(g: Graph, cap: int = INDEPENDENCE_CAP) -> int:
-    """Exact independence number by branch and bound."""
+def independence_number(g: Graph) -> int:
+    """Exact independence number by branch and bound; requires n <= INDEPENDENCE_CAP."""
     n = g.n
-    if n > cap:
-        raise SizeLimitError(f"n={n} exceeds exhaustive cap {cap}")
+    if n > INDEPENDENCE_CAP:
+        raise SizeLimitError(f"n={n} exceeds exhaustive cap {INDEPENDENCE_CAP}")
     adj = [g.adjacency_mask(v) for v in range(n)]
     best = 0
 
@@ -156,15 +157,15 @@ def binomial_tail_exact(
     zeta: Union[Fraction, float, str],
     threshold: Union[Fraction, float, int],
     side: str,
-    cap: int = TAIL_CAP,
 ) -> Fraction:
-    """Exact P[Bin(n', zeta) >= threshold] ("ge") or <= threshold ("le").
+    """Exact P[Bin(n', zeta) >= threshold] ("ge") or <= threshold ("le"),
+    for 1 <= n' <= TAIL_CAP.
 
     All arithmetic is rational; pass zeta as a Fraction or string for exact
     decimal semantics.
     """
-    if nprime < 1 or nprime > cap:
-        raise ValueError(f"need 1 <= n' <= {cap}")
+    if nprime < 1 or nprime > TAIL_CAP:
+        raise ValueError(f"need 1 <= n' <= {TAIL_CAP}")
     z = Fraction(zeta)
     if not 0 < z < 1:
         raise ValueError("zeta must be in (0, 1)")

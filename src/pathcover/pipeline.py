@@ -18,9 +18,10 @@ structural audit either way.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -82,17 +83,15 @@ def paths_limit_bipartite(c: float) -> int:
 @dataclass(frozen=True)
 class PipelineConfig:
     """Run parameters; build with `derive` to get the standard chain
-    d = alpha*c/9, delta = d/2, eps = min(eps1, d/6, 3d/(2c)), gamma = alpha/4,
-    beta = 3d/c.
+    d = alpha*c/9, delta = d/2, eps = min(delta/10, d/6, 3d/(2c)),
+    gamma = alpha/4, beta = 3d/c. delta and beta are always derived from d.
     """
 
     c: float
     alpha: float
     d: float
     eps: float
-    delta: float
     gamma: float
-    beta: float
     t: Optional[int] = None
     seed: int = 0
     overrides: dict = field(default_factory=dict, compare=False, repr=False)
@@ -105,12 +104,16 @@ class PipelineConfig:
         tol = 1e-9
         if not 0 < self.eps <= self.d / 6 + tol:
             raise ValueError("need 0 < eps <= d/6")
-        if abs(self.delta - self.d / 2) > tol:
-            raise ValueError("delta must equal d/2")
-        if abs(self.beta - 3 * self.d / self.c) > tol:
-            raise ValueError("beta must equal 3d/c")
         if self.gamma > 0.25 + tol:
             raise ValueError("gamma must be at most 1/4")
+
+    @property
+    def delta(self) -> float:
+        return self.d / 2
+
+    @property
+    def beta(self) -> float:
+        return 3 * self.d / self.c
 
     @classmethod
     def derive(
@@ -120,7 +123,6 @@ class PipelineConfig:
         *,
         d: Optional[float] = None,
         eps: Optional[float] = None,
-        eps1: Optional[float] = None,
         gamma: Optional[float] = None,
         t: Optional[int] = None,
         seed: int = 0,
@@ -130,21 +132,17 @@ class PipelineConfig:
         if not 0 < alpha <= 1:
             raise ValueError("alpha must be in (0, 1]")
         d_ = d if d is not None else alpha * c / 9
-        delta = d_ / 2
-        eps1_ = eps1 if eps1 is not None else 0.1 * delta
-        eps_ = eps if eps is not None else min(eps1_, d_ / 6, 3 * d_ / (2 * c))
+        eps_ = eps if eps is not None else min(0.1 * (d_ / 2), d_ / 6, 3 * d_ / (2 * c))
         gamma_ = gamma if gamma is not None else alpha / 4
         return cls(
             c=c,
             alpha=alpha,
             d=d_,
             eps=eps_,
-            delta=delta,
             gamma=gamma_,
-            beta=3 * d_ / c,
             t=t,
             seed=seed,
-            overrides={"d": d, "eps": eps, "eps1": eps1, "gamma": gamma},
+            overrides={"d": d, "eps": eps, "gamma": gamma},
         )
 
     def with_alpha(self, alpha: float) -> "PipelineConfig":
@@ -243,19 +241,20 @@ class CoverCheck:
 
 # ------------------------------------------------------------------- reservoir
 
+RESERVOIR_ATTEMPTS = 50
+
 
 def reservoir(
     g: Graph,
     gamma: float,
     eps: float,
     seed: int = 0,
-    max_attempts: int = 50,
 ) -> frozenset[int]:
     """Random vertex set R with |R| in (1±eps)*gamma*n and, for every vertex,
     deg(v, R) in (1±eps)*gamma*k (open windows; k is the regular degree).
 
     Sampled by independent inclusion with probability gamma, rejected until
-    both windows hold.
+    both windows hold, at most RESERVOIR_ATTEMPTS times.
     """
     n = g.n
     k = g.regular_degree()
@@ -275,7 +274,7 @@ def reservoir(
             f"no integer degree in ({float(deg_lo):.3f}, {float(deg_hi):.3f})"
         )
     rng = random.Random(mix64(seed, 0x6E5E6))
-    for _ in range(max_attempts):
+    for _ in range(RESERVOIR_ATTEMPTS):
         rmask = 0
         size = 0
         for v in range(n):
@@ -289,7 +288,7 @@ def reservoir(
             for v in range(n)
         ):
             return frozenset(bits(rmask))
-    raise ReservoirError(f"no valid reservoir in {max_attempts} attempts")
+    raise ReservoirError(f"no valid reservoir in {RESERVOIR_ATTEMPTS} attempts")
 
 
 def chernoff_upper(nprime: int, zeta: float, x: float) -> float:
@@ -578,31 +577,25 @@ def _concat_paths(
 ) -> tuple[list[Path], int]:
     """Join pairs of paths whose ends are directly adjacent (no connector).
 
-    Scanned smallest (i, j) first, head/tail combinations in a fixed order.
+    Scanned smallest (i, j) first, then the end pairings tail-head,
+    tail-tail, head-head, head-tail: (rev_i, rev_j) says which path is
+    reversed before path i is followed by path j.
     """
     paths = list(paths)
     joins = 0
-    progress = True
-    while len(paths) > limit and progress:
-        progress = False
-        found = None
-        for i in range(len(paths)):
-            hi, ti = paths[i].vertices[0], paths[i].vertices[-1]
-            for j in range(i + 1, len(paths)):
-                hj, tj = paths[j].vertices[0], paths[j].vertices[-1]
-                if g.adjacent(ti, hj):
-                    found = (i, j, False, False)
-                elif g.adjacent(ti, tj):
-                    found = (i, j, False, True)
-                elif g.adjacent(hi, hj):
-                    found = (i, j, True, False)
-                elif g.adjacent(hi, tj):
-                    found = (i, j, True, True)
-                if found:
-                    break
-            if found:
-                break
-        if not found:
+    while len(paths) > limit:
+        found = next(
+            (
+                (i, j, rev_i, rev_j)
+                for i, j in itertools.combinations(range(len(paths)), 2)
+                for rev_i, rev_j in itertools.product((False, True), repeat=2)
+                if g.adjacent(
+                    paths[i].vertices[0 if rev_i else -1], paths[j].vertices[-1 if rev_j else 0]
+                )
+            ),
+            None,
+        )
+        if found is None:
             break
         i, j, rev_i, rev_j = found
         pi = paths[i].reversed() if rev_i else paths[i]
@@ -611,7 +604,6 @@ def _concat_paths(
         paths = [p for k, p in enumerate(paths) if k not in (i, j)]
         paths.append(merged)
         joins += 1
-        progress = True
     return paths, joins
 
 
@@ -630,22 +622,15 @@ def _absorb(
         fmask = mask_of(free)
         for idx, p in enumerate(paths):
             vs = p.vertices
-            ext_tail = g.adjacency_mask(vs[-1]) & fmask
-            if ext_tail:
-                v = (ext_tail & -ext_tail).bit_length() - 1
-                vs = vs + (v,)
-                free.discard(v)
-                fmask &= ~(1 << v)
-                absorbed += 1
-                changed = True
-            ext_head = g.adjacency_mask(vs[0]) & fmask
-            if ext_head:
-                v = (ext_head & -ext_head).bit_length() - 1
-                vs = (v,) + vs
-                free.discard(v)
-                fmask &= ~(1 << v)
-                absorbed += 1
-                changed = True
+            for at_tail in (True, False):
+                ext = g.adjacency_mask(vs[-1 if at_tail else 0]) & fmask
+                if ext:
+                    v = (ext & -ext).bit_length() - 1
+                    vs = vs + (v,) if at_tail else (v,) + vs
+                    free.discard(v)
+                    fmask &= ~(1 << v)
+                    absorbed += 1
+                    changed = True
             if vs is not p.vertices:
                 paths[idx] = Path(vs)
         if changed or not free:
@@ -653,7 +638,6 @@ def _absorb(
         # no end extends; try splicing w between consecutive path vertices
         for w in sorted(free):
             aw = g.adjacency_mask(w)
-            done = False
             for idx, p in enumerate(paths):
                 vs = p.vertices
                 occ = 0
@@ -667,9 +651,8 @@ def _absorb(
                     free.discard(w)
                     absorbed += 1
                     changed = True
-                    done = True
                     break
-            if done:
+            if changed:
                 break
     return paths, absorbed
 
@@ -763,8 +746,6 @@ def _path_stage(
     thm_eps = min(cfg.eps, ((limit + 1) * c_eff - 1) / 3)
     rep = RunReport(n=n)
     r = _reservoir_relaxed(g, cfg, max(thm_eps, 1e-12), rep)
-    rep.reservoir_size = len(r)
-    rep.reservoir_vertices = r
     rest = sorted(set(range(n)) - r)
     if sides is not None:
         # an alternating path covers at most 2*min(|X'|,|Y'|)+1 vertices, so
@@ -780,7 +761,10 @@ def _path_stage(
             rep.note(f"held out {drop} vertices to balance the working sides")
     g1, mapping = induced_subgraph(g, rest)
     cycset, crep = cycle_cover(g1, cfg.with_alpha(cfg.alpha / 2), strict_window=False)
-    _copy_cycle_stage(rep, crep)
+    # the cycle stage's diagnostics, on the whole graph; _finalize recounts the cover
+    rep = replace(
+        crep, n=n, notes=rep.notes + crep.notes, reservoir_size=len(r), reservoir_vertices=r
+    )
     paths = _cycles_to_paths(cycset, mapping)
     if not paths:
         paths = _strip(g, longest_path, rest, (mix64(cfg.seed, 2), 0x57A1), 3 * (limit + 1))
@@ -810,19 +794,6 @@ def _path_stage(
             fb_rep.notes = rep.notes + fb_rep.notes
             cover, rep = fb_cover, fb_rep
     return cover, rep
-
-
-def _copy_cycle_stage(rep: RunReport, crep: RunReport) -> None:
-    rep.method = crep.method
-    rep.t, rep.m, rep.v0 = crep.t, crep.m, crep.v0
-    rep.regular_pair_fraction = crep.regular_pair_fraction
-    rep.cluster_edges = crep.cluster_edges
-    rep.mu_f = crep.mu_f
-    rep.deficiency_ok = crep.deficiency_ok
-    rep.pairings = crep.pairings
-    rep.cycles_found = crep.cycles_found
-    rep.cycles_failed = crep.cycles_failed
-    rep.notes.extend(crep.notes)
 
 
 def _connect_absorb(

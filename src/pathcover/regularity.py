@@ -32,6 +32,7 @@ from ._bits import bits, mask_of, mix64
 from .graph import Graph, VertexSet, _adjacency_block, _vertex_mask, density
 
 EXACT_CAP = 10
+REFINE = 20
 
 Threshold = Union[int, float, Fraction]
 
@@ -95,11 +96,11 @@ class ClusterGraph:
         return hash((self.t, self.threshold, tuple(sorted(self.edges))))
 
 
-def equitable_partition(g: Graph, t: int, seed: int = 0, refine: int = 20) -> Partition:
+def equitable_partition(g: Graph, t: int, seed: int = 0) -> Partition:
     """Random equitable partition into t clusters of even size m = floor(n/t)
     (rounded down to even); leftovers go to the exceptional set.
 
-    Draws `refine` candidates and keeps the one with the largest mean-square
+    Draws REFINE candidates and keeps the one with the largest mean-square
     density, which is the quantity partition refinement drives up.
     """
     n = g.n
@@ -110,7 +111,7 @@ def equitable_partition(g: Graph, t: int, seed: int = 0, refine: int = 20) -> Pa
         raise ValueError(f"clusters would be empty with t={t}, n={n}")
     best: Optional[Partition] = None
     best_index = -1.0
-    for round_ in range(max(1, refine)):
+    for round_ in range(REFINE):
         rng = random.Random(mix64(seed, 0x9A27, round_))
         perm = list(range(n))
         rng.shuffle(perm)

@@ -235,7 +235,7 @@ def test_criterion_7_reservoir_lemma():
     window_failures = 0
     for seed in range(100):
         try:
-            r = reservoir(g, gamma, eps, seed=seed, max_attempts=50)
+            r = reservoir(g, gamma, eps, seed=seed)
         except Exception:
             continue
         successes += 1

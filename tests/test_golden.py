@@ -163,7 +163,10 @@ def _exact_dp_lines() -> list[str]:
         p = rng.uniform(0.15, 0.75)
         g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
         res = hamiltonian_path(g, budget=0)
-        lines.append(f"path i={i} n={n} m={g.m} -> " + (" ".join(map(str, res.path.vertices)) if res.ok else "none"))
+        lines.append(
+            f"path i={i} n={n} m={g.m} -> "
+            + (" ".join(map(str, res.path.vertices)) if res.ok else "none")
+        )
     for i in range(200):
         rng = random.Random(mix64(0xDC, i))
         side = rng.randint(2, 7)

@@ -66,11 +66,17 @@ def cycle10():
 
 @pytest.mark.parametrize(
     "count",
-    [lambda g: density(g, [0], [50]), lambda g: density(g, [50], [0]), lambda g: degree_into(g, 0, [50])],
-    ids=["density-b", "density-a", "degree_into"],
+    [
+        lambda g: density(g, [0], [50]),
+        lambda g: density(g, [50], [0]),
+        lambda g: degree_into(g, 0, [50]),
+        lambda g: density(g, [-1], [2]),
+        lambda g: degree_into(g, 0, [-1]),
+    ],
+    ids=["density-b", "density-a", "degree_into", "density-negative", "degree_into-negative"],
 )
 def test_counts_reject_foreign_vertices(count):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"0\.\.9"):
         count(cycle10())
 
 

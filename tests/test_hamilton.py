@@ -159,6 +159,12 @@ def test_longest_path_respects_active_set():
     p.validate(g)
 
 
+@pytest.mark.parametrize("budget", [0, -3])
+def test_longest_path_rejects_nonpositive_budget(budget):
+    with pytest.raises(ValueError, match="budget must be positive"):
+        longest_path(complete(10), budget=budget)
+
+
 def test_longest_cycle_on_dense_graph_spans():
     g = complete(12)
     c = longest_cycle(g, seed=0)

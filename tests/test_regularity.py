@@ -139,11 +139,13 @@ def test_regularity_rejects_bad_inputs():
         is_eps_regular(g, {0}, {1}, 0)
 
 
-@pytest.mark.parametrize("a, b", [([0, 1], [50]), (range(3), range(20, 33))])
+@pytest.mark.parametrize(
+    "a, b", [([0, 1], [50]), (range(3), range(20, 33)), ([-1, 0], [2, 3])]
+)
 def test_regularity_rejects_foreign_vertices(a, b):
     # the first pair takes the exact verdict, the second the heuristic one
     g = Graph(10, [(i, (i + 1) % 10) for i in range(10)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"0\.\.9"):
         is_eps_regular(g, a, b, 0.1)
 
 
