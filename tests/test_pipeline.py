@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from pathcover._bits import mask_of
+from pathcover._bits import mask_of, mix64
 from pathcover.generators import (
     GenSpec,
     degree_from_ratio,
     extremal_family,
+    generate,
     random_bipartite_regular,
     random_regular,
 )
@@ -20,8 +21,10 @@ from pathcover.pipeline import (
     PathCover,
     PipelineConfig,
     ReservoirError,
+    RunReport,
     _absorb,
     _concat_paths,
+    _reservoir_relaxed,
     chernoff_lower,
     chernoff_upper,
     connect_paths,
@@ -131,6 +134,59 @@ def test_reservoir_deterministic():
 def test_reservoir_requires_regular():
     with pytest.raises(ValueError):
         reservoir(Graph(3, [(0, 1)]), 0.2, 0.5)
+
+
+def _reservoir_reference(g, cfg, eps0):
+    """The relaxation loop by its definition: a fresh `reservoir` call at
+    eps0, 2*eps0, ... up to 1, the first accepted set wins."""
+    notes = []
+    eps = eps0
+    while eps <= 1.0:
+        try:
+            r = reservoir(g, cfg.gamma, eps, seed=mix64(cfg.seed, 0x6E5))
+            if eps != eps0:
+                notes.append(f"reservoir accepted at relaxed eps={eps:.4g}")
+            return r, notes
+        except (DegenerateParameterError, ReservoirError):
+            if eps == 1.0:
+                break
+            eps = min(eps * 2, 1.0)
+    notes.append("reservoir disabled (no eps up to 1 produced a valid set)")
+    return frozenset(), notes
+
+
+def _cycle(n):
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+@pytest.mark.parametrize(
+    "family, n, c, gamma, eps0, outcome",
+    [
+        ("random-regular", 300, 0.45, 0.25, 0.3, "first"),
+        ("random-bipartite-regular", 600, 0.15, 0.25, 0.6, "first"),
+        ("random-regular", 300, 0.45, 0.25, None, "relaxed"),
+        ("random-regular", 200, 0.6, None, None, "relaxed"),
+        ("random-regular", 200, 0.6, None, 0.3, "relaxed"),  # accepted at eps=1
+        ("random-regular", 600, 0.3, 0.25, None, "relaxed"),
+        ("random-regular", 300, 0.45, None, None, "disabled"),  # 50 draws fail at every eps
+        ("random-bipartite-regular", 600, 0.15, None, None, "disabled"),
+        ("random-regular", 200, 0.6, None, 1.5, "disabled"),  # eps0 above 1
+        ("cycle", 12, 0.2, 0.25, 0.01, "disabled"),  # degree window empty at every eps
+    ],
+)
+def test_reservoir_relaxed_matches_reference_loop(family, n, c, gamma, eps0, outcome):
+    if family == "cycle":
+        g = _cycle(n)
+    else:
+        g = generate(GenSpec(n, degree_from_ratio(n, c), family, seed=0))
+    cfg = PipelineConfig.derive(c, 0.1, gamma=gamma, seed=1)
+    eps0 = cfg.eps if eps0 is None else eps0
+    rep = RunReport(n=n)
+    r = _reservoir_relaxed(g, cfg, eps0, rep)
+    expected_r, expected_notes = _reservoir_reference(g, cfg, eps0)
+    assert (r, rep.notes) == (expected_r, expected_notes)
+    got = "disabled" if not r else "relaxed" if rep.notes else "first"
+    assert got == outcome
 
 
 # ---------------------------------------------------------------- connect loop
