@@ -1,18 +1,21 @@
 #!/usr/bin/env python3
 """Sweep the covering pipeline over degree ratios, orders, and seeds.
 
-Writes one CSV row per trial (same schema as `pathcover bench`) plus a
-per-cell success summary on stderr. Typical runs:
+Runs `pathcover bench` once over the whole grid, writes its CSV, and prints
+a per-cell success summary on stderr. Exits 1 if any cell succeeds below 90%.
+Typical runs:
 
     python scripts/coverage_sweep.py --out sweep.csv
     python scripts/coverage_sweep.py --c 0.3,0.45 --n 600 --seeds 0..49 --bipartite
 """
 
 import argparse
+import io
 import sys
 from collections import defaultdict
+from contextlib import redirect_stdout
 
-from pathcover.cli import CSV_HEADER, _parse_list, _parse_seed_range, _run_trial
+from pathcover.cli import main as pathcover
 
 
 def main() -> int:
@@ -26,22 +29,25 @@ def main() -> int:
     ap.add_argument("--out", default=None)
     args = ap.parse_args()
 
-    family = "random-bipartite-regular" if args.bipartite else "random-regular"
-    cells = defaultdict(lambda: [0, 0])
-    rows = [CSV_HEADER]
-    for c in _parse_list(args.c, float):
-        for n in _parse_list(args.n, int):
-            for seed in _parse_seed_range(args.seeds):
-                row = _run_trial(family, n, c, args.alpha, seed, args.timing)
-                rows.append(row.to_csv())
-                cells[(c, n)][0] += row.success
-                cells[(c, n)][1] += 1
-    text = "\n".join(rows) + "\n"
+    argv = ["bench", "--c", args.c, "--n", args.n, "--seeds", args.seeds,
+            "--alpha", str(args.alpha), "--timing", args.timing]
+    csv = io.StringIO()
+    with redirect_stdout(csv):
+        code = pathcover(argv + ["--bipartite"] * args.bipartite)
+    if code:
+        return code
+    text = csv.getvalue()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    cells = defaultdict(lambda: [0, 0])
+    for row in text.splitlines()[1:]:
+        fields = row.split(",")
+        cell = cells[(float(fields[4]), int(fields[2]))]
+        cell[0] += fields[-1] == "true"
+        cell[1] += 1
     worst = 1.0
     for (c, n), (ok, total) in sorted(cells.items()):
         rate = ok / total

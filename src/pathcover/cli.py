@@ -239,6 +239,8 @@ def _parse_seed_range(text: str) -> range:
     if not sep:
         value = int(text)
         return range(value, value + 1)
+    if int(hi) < int(lo):
+        raise ValueError(f"seed range {text} is empty: {hi} < {lo}")
     return range(int(lo), int(hi) + 1)
 
 

@@ -23,7 +23,7 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from ._bits import bits, mask_of, mix64
 from .generators import degree_from_ratio
@@ -45,6 +45,7 @@ from .matching import (
 from .regularity import (
     CleaningFailed,
     ClusterGraph,
+    _pair_counts,
     build_cluster_graph,
     clean_super_regular,
     equitable_partition,
@@ -256,8 +257,26 @@ def reservoir(
     Sampled by independent inclusion with probability gamma, rejected until
     both windows hold, at most RESERVOIR_ATTEMPTS times.
     """
+    return _reservoir_level(g, g.regular_degree(), gamma, eps, _reservoir_draws(g.n, gamma, seed))
+
+
+def _reservoir_draws(n: int, gamma: float, seed: int) -> Iterator[tuple[int, int]]:
+    """The reservoir's candidate sets as (rmask, size), in draw order."""
+    rng = random.Random(mix64(seed, 0x6E5E6))
+    for _ in range(RESERVOIR_ATTEMPTS):
+        rmask = size = 0
+        for v in range(n):
+            if rng.random() < gamma:
+                rmask |= 1 << v
+                size += 1
+        yield rmask, size
+
+
+def _reservoir_level(
+    g: Graph, k: int, gamma: float, eps: float, draws: Iterable[tuple[int, int]]
+) -> frozenset[int]:
+    """The first of `draws` inside both windows at this eps."""
     n = g.n
-    k = g.regular_degree()
     if not 0 < gamma <= 1:
         raise DegenerateParameterError(f"gamma={gamma} must be in (0, 1]")
     if eps <= 0:
@@ -273,14 +292,7 @@ def reservoir(
         raise DegenerateParameterError(
             f"no integer degree in ({float(deg_lo):.3f}, {float(deg_hi):.3f})"
         )
-    rng = random.Random(mix64(seed, 0x6E5E6))
-    for _ in range(RESERVOIR_ATTEMPTS):
-        rmask = 0
-        size = 0
-        for v in range(n):
-            if rng.random() < gamma:
-                rmask |= 1 << v
-                size += 1
+    for rmask, size in draws:
         if not size_lo < size < size_hi:
             continue
         if all(
@@ -394,14 +406,12 @@ def _regularity_cycles(
         rep.note(f"|V_0|={rep.v0} exceeds eps*n={float(eps) * n:.2f}")
     eps_f = Fraction(eps)
     verdicts: dict[tuple[int, int], bool] = {}
-    regular_count = 0
-    for i in range(t):
-        for j in range(i + 1, t):
-            v = is_eps_regular(g, part.clusters[i], part.clusters[j], eps_f)
-            verdicts[(i, j)] = v.regular
-            regular_count += int(v.regular)
-    total_pairs = t * (t - 1) // 2
-    rep.regular_pair_fraction = regular_count / total_pairs if total_pairs else 1.0
+    for (i, j), e in _pair_counts(g, part).items():
+        verdict = _single_vertex_verdict(e, m, m, eps_f)
+        if verdict is None:
+            verdict = is_eps_regular(g, part.clusters[i], part.clusters[j], eps_f).regular
+        verdicts[(i, j)] = verdict
+    rep.regular_pair_fraction = sum(verdicts.values()) / len(verdicts)
     dense = build_cluster_graph(g, part, Fraction(d))
     usable = {e: dens for e, dens in dense.edges.items() if verdicts[e]}
     h = ClusterGraph(t, dense.threshold, usable)
@@ -451,6 +461,17 @@ def _regularity_cycles(
             rep.cycles_failed += 1
             rep.note(f"pair ({i},{j}): spanning-cycle search failed")
     return cycles
+
+
+def _single_vertex_verdict(e: int, na: int, nb: int, eps: Fraction) -> Optional[bool]:
+    """Is a pair with sides na, nb and e edges eps-regular? None unless
+    eps*max(na, nb) < 1 and eps <= 1/2."""
+    if eps * max(na, nb) >= 1 or eps > Fraction(1, 2):
+        return None
+    # every single vertex is then an admissible witness set: with 0 < e < na*nb
+    # some 1x1 sub-pair deviates by max(d, 1-d) >= 1/2 >= eps, and with e in
+    # {0, na*nb} no sub-pair deviates at all
+    return e in (0, na * nb)
 
 
 def _strip(
@@ -661,11 +682,16 @@ def _absorb(
 
 
 def _reservoir_relaxed(g: Graph, cfg: PipelineConfig, eps0: float, rep: RunReport) -> frozenset[int]:
-    """Reservoir with the configured eps, doubling it on failure (reported)."""
+    """Reservoir with the configured eps, doubling it on failure (reported).
+    Each level returns what `reservoir` would at its eps; tee replays the
+    candidates drawn so far, so each is drawn at most once."""
+    k = g.regular_degree()
+    draws = _reservoir_draws(g.n, cfg.gamma, mix64(cfg.seed, 0x6E5))
     eps_res = eps0
     while eps_res <= 1.0:
+        draws, level = itertools.tee(draws)
         try:
-            r = reservoir(g, cfg.gamma, eps_res, seed=mix64(cfg.seed, 0x6E5))
+            r = _reservoir_level(g, k, cfg.gamma, eps_res, level)
             if eps_res != eps0:
                 rep.note(f"reservoir accepted at relaxed eps={eps_res:.4g}")
             return r

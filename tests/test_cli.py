@@ -140,6 +140,13 @@ def test_bench_deterministic_and_thread_invariant(capsys):
     assert a == b == c
 
 
+def test_bench_rejects_descending_seed_range(capsys):
+    code, out, err = run(capsys, "bench", "--c", "0.5", "--n", "40", "--seeds", "3..1", "--threads", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "3..1" in err
+
+
 def test_bench_success_consistent_with_verify(tmp_path, capsys):
     from pathcover.generators import GenSpec, generate, degree_from_ratio
     from pathcover.pipeline import PipelineConfig, path_cover, verify_cover, paths_limit

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathcover._bits import mask_of, mix64
 from pathcover.generators import (
@@ -15,6 +17,7 @@ from pathcover.generators import (
 )
 from pathcover.graph import Graph
 from pathcover.hamilton import Path
+from pathcover.regularity import is_eps_regular
 from pathcover.pipeline import (
     CycleSet,
     DegenerateParameterError,
@@ -25,6 +28,7 @@ from pathcover.pipeline import (
     _absorb,
     _concat_paths,
     _reservoir_relaxed,
+    _single_vertex_verdict,
     chernoff_lower,
     chernoff_upper,
     connect_paths,
@@ -362,6 +366,33 @@ def test_verify_catches_inconsistent_uncovered():
 
 
 # ----------------------------------------------------------------- cycle cover
+
+
+@st.composite
+def pairs_with_small_eps(draw):
+    """A bipartite pair with sides of 1-10 vertices and an eps with
+    eps*max(|A|, |B|) < 1 and eps <= 1/2."""
+    na, nb = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    picks = draw(st.lists(st.booleans(), min_size=na * nb, max_size=na * nb))
+    edges = [(i, na + j) for i in range(na) for j in range(nb) if picks[i * nb + j]]
+    eps = Fraction(draw(st.integers(1, 60)), 61) / max(na, nb, 2)
+    return Graph(na + nb, edges), na, nb, eps
+
+
+@settings(max_examples=80, deadline=None)
+@given(pairs_with_small_eps())
+def test_single_vertex_verdict_matches_exact_regularity(case):
+    g, na, nb, eps = case
+    verdict = is_eps_regular(g, range(na), range(na, na + nb), eps)
+    assert verdict.mode == "exact"
+    assert _single_vertex_verdict(g.m, na, nb, eps) == verdict.regular
+
+
+@pytest.mark.parametrize(
+    "na, nb, eps", [(4, 4, Fraction(1, 4)), (2, 6, Fraction(1, 5)), (1, 1, Fraction(3, 5))]
+)
+def test_single_vertex_verdict_declines_outside_its_range(na, nb, eps):
+    assert _single_vertex_verdict(1, na, nb, eps) is None
 
 
 def test_cycle_cover_rejects_degree_window_violation():
