@@ -29,11 +29,13 @@ def main() -> int:
     ap.add_argument("--out", default=None)
     args = ap.parse_args()
 
-    argv = ["bench", "--c", args.c, "--n", args.n, "--seeds", args.seeds,
-            "--alpha", str(args.alpha), "--timing", args.timing]
+    argv = ["bench", "--c", args.c, "--n", args.n, "--seeds", args.seeds]
+    argv += ["--alpha", str(args.alpha), "--timing", args.timing]
+    if args.bipartite:
+        argv.append("--bipartite")
     csv = io.StringIO()
     with redirect_stdout(csv):
-        code = pathcover(argv + ["--bipartite"] * args.bipartite)
+        code = pathcover(argv)
     if code:
         return code
     text = csv.getvalue()
