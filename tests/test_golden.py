@@ -3,7 +3,8 @@
 Refactors of the pipeline must not change what it emits: the bench CSV with
 `--timing none`, the run report and the cover itself. The bench CSV pins only
 `method,paths,uncovered`, which a different graph can reproduce, so the
-generated graphs are pinned too, by the sha256 of their edge-list text. A
+generated graphs are pinned too: by the sha256 of their edge-list text, and
+the benchmark's larger graphs by the sha256 of their packed adjacency rows. A
 deliberate behaviour change regenerates these files in the same commit and
 says why.
 """
@@ -60,6 +61,27 @@ def _graph_digests() -> dict[tuple[str, int, int, int], str]:
 def test_generated_graph_matches_golden(family, n, k, seed):
     text = write_graph(generate(GenSpec(n, k, family, seed)))
     assert hashlib.sha256(text.encode()).hexdigest() == _graph_digests()[(family, n, k, seed)]
+
+
+def _bench_graph_digests() -> dict[tuple[str, int, int, int], str]:
+    out = {}
+    for line in (GOLDEN / "bench_graph_digests.txt").read_text().splitlines():
+        if line and not line.startswith("#"):
+            family, n, k, seed, digest = line.split()
+            out[(family, int(n), int(k), int(seed))] = digest
+    return out
+
+
+def test_benchmark_graphs_match_golden():
+    # the graphs perfbench's regular-2400 and structured workloads cover; at
+    # n=2400, c=0.45 seed 0 restarts the pairing and c=0.6 takes the complement
+    # branch. Hashed from the masks: write_graph would dominate the test's time
+    digests = _bench_graph_digests()
+    assert len(digests) == 8
+    for (family, n, k, seed), digest in digests.items():
+        g = generate(GenSpec(n, k, family, seed))
+        rows = b"".join(a.to_bytes((n + 7) // 8, "little") for a in g._adj)
+        assert hashlib.sha256(rows).hexdigest() == digest, (family, n, k, seed)
 
 
 @pytest.mark.parametrize(
