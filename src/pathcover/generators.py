@@ -4,9 +4,11 @@ the tight families (disjoint cliques / disjoint bicliques).
 Random regular graphs come from the stub-pairing model. Colliding stubs
 (loops, repeated pairs) are re-shuffled and re-paired instead of restarting
 the whole attempt; a full restart happens only when the leftover stubs can
-no longer be paired. For degrees above half the available range we generate
-the complement instead, which keeps the pairing density low. Everything is
-deterministic given the seed.
+no longer be paired. A pair repeated within a round keeps its first
+occurrence: one sort of key * m + index (m pairs in the round) breaks ties
+by index, as a stable sort would. Degrees above half the available range are
+generated as the complement, which keeps the pairing density low. Every
+family builds one boolean adjacency matrix; all are deterministic per seed.
 """
 
 from __future__ import annotations
@@ -63,38 +65,37 @@ def generate(spec: GenSpec) -> Graph:
     return extremal_family(spec)
 
 
-def _pairing_edges(n: int, k: int, rng: np.random.Generator) -> list[tuple[int, int]]:
-    """One pairing attempt with stub repair; raises _PairingStuck on dead ends."""
+def _pairing_edges(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Bool adjacency matrix of one pairing attempt with stub repair; raises _PairingStuck."""
+    if n * n * (n * k // 2) >= 2**63:
+        raise ValueError(f"n={n}, k={k} is too large: the pairing's sort keys would overflow int64")
     stubs = np.repeat(np.arange(n, dtype=np.int64), k)
     present = np.zeros(n * n, dtype=bool)
-    accepted: list[np.ndarray] = []
-    rounds = 0
-    while stubs.size:
-        rounds += 1
-        if rounds > 200:
-            raise _PairingStuck
+    for _round in range(200):
         stubs = rng.permutation(stubs)
         u = np.minimum(stubs[0::2], stubs[1::2])
         v = np.maximum(stubs[0::2], stubs[1::2])
         keys = u * n + v
-        ok = u != v
-        # drop repeats within this round (keep first occurrence)
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        first = np.ones(keys.size, dtype=bool)
-        first[order[1:]] = sorted_keys[1:] != sorted_keys[:-1]
-        ok &= first & ~present[keys]
+        ok = (u != v) & _first_occurrences(keys) & ~present[keys]
         present[keys[ok]] = True
-        accepted.append(keys[ok])
         bad = ~ok
         if not bad.any():
+            upper = present.reshape(n, n)
+            return upper | upper.T
+        stubs = np.concatenate([u[bad], v[bad]])
+        if not _repairable(stubs, present, n):
             break
-        leftover = np.concatenate([u[bad], v[bad]])
-        if not _repairable(leftover, present, n):
-            raise _PairingStuck
-        stubs = leftover
-    all_keys = np.concatenate(accepted) if accepted else np.empty(0, dtype=np.int64)
-    return [(int(key) // n, int(key) % n) for key in all_keys]
+    raise _PairingStuck
+
+
+def _first_occurrences(keys: np.ndarray) -> np.ndarray:
+    """Mask of each value's first occurrence; needs 0 <= keys, max(keys) * keys.size < 2**63."""
+    m = keys.size
+    packed = np.sort(keys * m + np.arange(m))
+    order, sorted_keys = packed % m, packed // m
+    first = np.ones(m, dtype=bool)
+    first[order[1:]] = sorted_keys[1:] != sorted_keys[:-1]
+    return first
 
 
 class _PairingStuck(Exception):
@@ -103,16 +104,15 @@ class _PairingStuck(Exception):
 
 def _repairable(stubs: np.ndarray, present: np.ndarray, n: int) -> bool:
     """Can any pair of leftover stubs still form a fresh edge?"""
-    verts = np.unique(stubs)
+    mark = np.zeros(n, dtype=bool)
+    mark[stubs] = True
+    verts = np.flatnonzero(mark)
     if verts.size < 2:
         return False
     if verts.size > 64:
         return True  # essentially always repairable with this many endpoints
-    for i in range(verts.size):
-        for j in range(i + 1, verts.size):
-            if not present[int(verts[i]) * n + int(verts[j])]:
-                return True
-    return False
+    pairs = present.reshape(n, n)[np.ix_(verts, verts)]
+    return not pairs[np.triu_indices(verts.size, 1)].all()
 
 
 def random_regular(spec: GenSpec) -> Graph:
@@ -131,7 +131,7 @@ def random_regular(spec: GenSpec) -> Graph:
     rng = np.random.Generator(np.random.PCG64(mix64(spec.seed, 0xA11CE, n, k)))
     for _ in range(RESTART_CAP):
         try:
-            return Graph(n, _pairing_edges(n, k, rng))
+            return Graph._from_matrix(_pairing_edges(n, k, rng))
         except _PairingStuck:
             continue
     raise RetryExhausted(f"no simple pairing found for n={n}, k={k}")
@@ -157,18 +157,17 @@ def random_bipartite_regular(spec: GenSpec) -> Graph:
     rng = random.Random(mix64(spec.seed, 0xB1B, n, k))
     for _ in range(RESTART_CAP):
         partner: list[set[int]] = [set() for _ in range(side)]
-        ok = True
         for _round in range(k):
             perm = list(range(side))
             rng.shuffle(perm)
             if not _repair_matching(perm, partner, rng):
-                ok = False
                 break
             for x in range(side):
                 partner[x].add(perm[x])
-        if ok:
-            edges = [(x, side + y) for x in range(side) for y in partner[x]]
-            return Graph(n, edges, bipartition=(range(side), range(side, n)))
+        else:
+            a = np.zeros((n, n), dtype=bool)
+            a[np.arange(side)[:, None], side + np.array([list(p) for p in partner])] = True
+            return Graph._from_matrix(a | a.T, (range(side), range(side, n)))
     raise RetryExhausted(f"no bipartite pairing found for n={n}, k={k}")
 
 
@@ -205,32 +204,19 @@ def extremal_family(spec: GenSpec) -> Graph:
     """
     n, k = spec.n, spec.k
     if spec.family == "disjoint-cliques":
-        block = k + 1
-        if n < block:
+        if n < k + 1:
             raise ValueError(f"need n >= k+1, got n={n}, k={k}")
-        nblocks = n // block
-        j = n % block
-        sizes = [block] * nblocks
-        sizes[-1] += j
-        edges = []
-        start = 0
-        for size in sizes:
-            edges.extend(
-                (start + a, start + b)
-                for a in range(size)
-                for b in range(a + 1, size)
-            )
-            start += size
-        return Graph(n, edges)
+        # v lies in block v // (k+1); the last block takes the n % (k+1) leftovers
+        label = np.minimum(np.arange(n) // (k + 1), n // (k + 1) - 1)
+        a = label[:, None] == label[None, :]
+        np.fill_diagonal(a, False)
+        return Graph._from_matrix(a)
     if spec.family == "disjoint-bicliques":
         if k == 0 or n % (2 * k) != 0:
             raise ValueError(f"disjoint-bicliques needs 2k | n, got n={n}, k={k}")
-        nblocks = n // (2 * k)
         half = n // 2
-        edges = []
-        for b in range(nblocks):
-            xs = range(b * k, (b + 1) * k)
-            ys = range(half + b * k, half + (b + 1) * k)
-            edges.extend((x, y) for x in xs for y in ys)
-        return Graph(n, edges, bipartition=(range(half), range(half, n)))
+        label = (np.arange(n) % half) // k
+        in_x = np.arange(n) < half
+        a = (label[:, None] == label[None, :]) & (in_x[:, None] != in_x[None, :])
+        return Graph._from_matrix(a, (range(half), range(half, n)))
     raise ValueError(f"{spec.family!r} is not an extremal family")

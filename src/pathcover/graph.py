@@ -3,13 +3,15 @@
 Adjacency is stored only as neighbor bitmasks: counts are popcounts of
 |N(v) & S|, and complement and induced subgraphs are mask operations. Where
 a whole 0/1 matrix is needed, one private kernel unpacks mask rows into a
-numpy block. Graphs may carry an optional bipartition (X, Y); every edge
-must then cross it.
+numpy block, and one packs matrix rows back into masks (generated graphs are
+built so). Vertex ids are ints or numpy integers. Graphs may carry an optional
+bipartition (X, Y); every edge must then cross it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -42,6 +44,7 @@ class Graph:
             raise ValueError("vertex count must be nonnegative")
         adj = [0] * n
         for u, v in edges:
+            u, v = index(u), index(v)
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
@@ -51,20 +54,7 @@ class Graph:
                 raise ValueError(f"duplicate edge ({min(u, v)},{max(u, v)})")
             adj[u] |= bit
             adj[v] |= 1 << u
-        bip = None
-        if bipartition is not None:
-            x, y = frozenset(bipartition[0]), frozenset(bipartition[1])
-            if x & y:
-                raise ValueError("bipartition sides overlap")
-            if x | y != frozenset(range(n)):
-                raise ValueError("bipartition must cover all vertices")
-            for side in (x, y):
-                sm = mask_of(side)
-                for a in side:
-                    if adj[a] & sm:
-                        a, b = sorted((a, (adj[a] & sm).bit_length() - 1))
-                        raise ValueError(f"edge ({a},{b}) does not cross the bipartition")
-            bip = (x, y)
+        bip = None if bipartition is None else _sides(adj, bipartition)
         self.n, self._adj, self._bipartition = n, tuple(adj), bip
 
     @classmethod
@@ -73,6 +63,21 @@ class Graph:
         g = object.__new__(cls)
         g.n, g._adj, g._bipartition = len(adj), adj, bip
         return g
+
+    @classmethod
+    def _from_matrix(cls, a: np.ndarray, bipartition=None) -> "Graph":
+        """Graph on a bool adjacency matrix, checked as `__init__` checks edges."""
+        n = len(a)
+        if a.dtype != bool or a.shape != (n, n):
+            raise ValueError("adjacency matrix must be a square bool array")
+        if a.diagonal().any():
+            raise ValueError(f"self-loop at {a.diagonal().argmax()}")
+        odd = a != a.T
+        if odd.any():
+            u, v = np.argwhere(odd)[0].tolist()  # row order: u < v
+            raise ValueError(f"edge ({u},{v}) is present in one direction only")
+        adj = _pack_rows(a)
+        return cls._from_masks(adj, None if bipartition is None else _sides(adj, bipartition))
 
     @property
     def m(self) -> int:
@@ -93,6 +98,7 @@ class Graph:
         return self._adj[v]
 
     def adjacent(self, u: int, v: int) -> bool:
+        u, v = index(u), index(v)
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(f"vertex pair ({u},{v}) out of range")
         return bool((self._adj[u] >> v) & 1)
@@ -126,10 +132,27 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m}{bi})"
 
 
+def _sides(adj: Sequence[int], bipartition) -> tuple[VertexSet, VertexSet]:
+    """The sides (X, Y) as frozensets; ValueError unless they partition the
+    vertices and every edge of the masks `adj` crosses them."""
+    x, y = (frozenset(map(index, side)) for side in bipartition)
+    if x & y:
+        raise ValueError("bipartition sides overlap")
+    if x | y != frozenset(range(len(adj))):
+        raise ValueError("bipartition must cover all vertices")
+    for side in (x, y):
+        sm = mask_of(side)
+        for a in side:
+            if adj[a] & sm:
+                a, b = sorted((a, (adj[a] & sm).bit_length() - 1))
+                raise ValueError(f"edge ({a},{b}) does not cross the bipartition")
+    return x, y
+
+
 def _vertex_mask(g: Graph, vertices: Iterable[int]) -> int:
     """Bitmask of `vertices`; ValueError unless they all lie in 0..n-1."""
     mask = 0
-    for v in vertices:
+    for v in map(index, vertices):
         if not 0 <= v < g.n:
             raise ValueError(f"vertices must lie in 0..{g.n - 1}")
         mask |= 1 << v
@@ -142,6 +165,12 @@ def _adjacency_block(g: Graph, rows: Sequence[int], cols: Sequence[int]) -> np.n
     packed = b"".join(g._adj[v].to_bytes(nbytes, "little") for v in rows)
     grid = np.frombuffer(packed, dtype=np.uint8).reshape(len(rows), nbytes)
     return np.unpackbits(grid, axis=1, bitorder="little")[:, cols]
+
+
+def _pack_rows(block: np.ndarray) -> tuple[int, ...]:
+    """Row masks of a 0/1 matrix: bit j of mask i is block[i, j]."""
+    packed = np.packbits(block, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
 def density(g: Graph, a: Iterable[int], b: Iterable[int]) -> Fraction:
@@ -168,8 +197,7 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, .
     old_ids = sorted(set(keep))
     if old_ids and not (0 <= old_ids[0] and old_ids[-1] < g.n):
         raise ValueError(f"induced_subgraph: vertices must lie in 0..{g.n - 1}")
-    packed = np.packbits(_adjacency_block(g, old_ids, old_ids), axis=1, bitorder="little")
-    adj = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+    adj = _pack_rows(_adjacency_block(g, old_ids, old_ids))
     bip = None if g.bipartition is None else tuple(
         frozenset(i for i, v in enumerate(old_ids) if v in side) for side in g.bipartition
     )

@@ -1,11 +1,15 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathcover.generators import (
     GenSpec,
+    _first_occurrences,
+    _repairable,
     degree_from_ratio,
     extremal_family,
+    generate,
     random_bipartite_regular,
     random_regular,
 )
@@ -153,3 +157,39 @@ def test_random_bipartite_always_audits(half, k, seed):
     assert all(d == k for d in g.degrees())
     x, y = g.bipartition
     assert all((u in x) != (v in x) for u, v in g.edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 5), max_size=40))
+def test_first_occurrences_matches_stable_argsort(keys):
+    keys = np.array(keys, dtype=np.int64)
+    # the reference: a stable argsort keeps the first occurrence of a key
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    first = np.ones(keys.size, dtype=bool)
+    first[order[1:]] = sorted_keys[1:] != sorted_keys[:-1]
+    assert np.array_equal(_first_occurrences(keys), first)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 9), st.data())
+def test_repairable_matches_unique_reference(n, data):
+    stubs = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=12)), dtype=np.int64)
+    present = np.array(data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)), dtype=bool)
+    verts = np.unique(stubs)
+    expected = verts.size >= 2 and (
+        verts.size > 64
+        or any(not present[int(a) * n + int(b)] for i, a in enumerate(verts) for b in verts[i + 1 :])
+    )
+    assert _repairable(stubs, present, n) == expected
+
+
+def test_repairable_many_endpoints_short_circuits():
+    n = 80
+    assert _repairable(np.arange(n, dtype=np.int64), np.ones(n * n, dtype=bool), n)
+
+
+def test_pairing_rejects_sizes_whose_sort_keys_would_wrap():
+    # the guard runs before any n*k-sized allocation (25 GB of stubs here)
+    with pytest.raises(ValueError, match="too large"):
+        generate(GenSpec(80_000, 39_999, "random-regular"))

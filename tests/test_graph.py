@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -256,3 +257,69 @@ def test_degree_sum_equals_cut_edges(g, rng):
     a, b = set(verts[:cut]), set(verts[cut:])
     e_ab = sum(1 for u, v in g.edges if (u in a) != (v in a))
     assert sum(degree_into(g, v, b) for v in a) == e_ab
+
+
+def _matrix(g: Graph) -> np.ndarray:
+    a = np.zeros((g.n, g.n), dtype=bool)
+    for u, v in g.edges:
+        a[u, v] = a[v, u] = True
+    return a
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(graphs(), graphs(bipartite=True)))
+def test_from_matrix_matches_edge_list_constructor(g):
+    assert Graph._from_matrix(_matrix(g), g.bipartition) == g
+
+
+@pytest.mark.parametrize(
+    "a, bip, message",
+    [
+        (np.array([[0, 1], [0, 0]], dtype=bool), None, "one direction"),
+        (np.array([[1, 0], [0, 0]], dtype=bool), None, "self-loop"),
+        (~np.eye(3, dtype=bool), ([0], [1, 2]), r"edge \(1,2\) does not cross"),
+        (np.zeros((2, 3), dtype=bool), None, "square bool"),
+        (np.zeros((2, 2), dtype=np.uint8), None, "square bool"),
+        (np.zeros((3, 3), dtype=bool), ([0, 1], [1, 2]), "overlap"),
+        (np.zeros((3, 3), dtype=bool), ([0], [1]), "cover"),
+    ],
+    ids=["asymmetric", "loop", "inside-side", "not-square", "not-bool", "overlap", "short"],
+)
+def test_from_matrix_rejects_invalid_input(a, bip, message):
+    with pytest.raises(ValueError, match=message):
+        Graph._from_matrix(a, bip)
+
+
+I0, I100 = np.int64(0), np.int64(100)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda g: Graph(101, [(I0, I100)]).m == 1,
+        lambda g: Graph(101, [(0, 100)], bipartition=(np.arange(50), np.arange(50, 101))) == g,
+        lambda g: g.adjacent(I0, I100),
+        lambda g: density(g, [0], [I100]) == 1,
+        lambda g: degree_into(g, 0, [I100]) == 1,
+    ],
+    ids=["edges", "sides", "adjacent", "density", "degree_into"],
+)
+def test_numpy_integer_ids_are_vertex_ids(check):
+    # 1 << np.int64(100) wraps, so each id must become a Python int first
+    assert check(Graph(101, [(0, 100)], bipartition=(range(50), range(50, 101))))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: Graph(3, [(0.0, 1)]),
+        lambda g: Graph(3, [(0, 1)], bipartition=([0.0], [1, 2])),
+        lambda g: g.adjacent(0, 1.0),
+        lambda g: density(g, [0], [1.0]),
+        lambda g: degree_into(g, 0, [1.0]),
+    ],
+    ids=["edges", "sides", "adjacent", "density", "degree_into"],
+)
+def test_float_ids_are_rejected(call):
+    with pytest.raises(TypeError):
+        call(Graph(3, [(0, 1)]))
