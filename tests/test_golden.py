@@ -19,7 +19,12 @@ from pathcover._bits import mix64
 from pathcover.cli import main, write_cover_file
 from pathcover.generators import GenSpec, degree_from_ratio, extremal_family, generate
 from pathcover.graph import Graph, write_graph
-from pathcover.hamilton import hamiltonian_path, spanning_cycle_bipartite
+from pathcover.hamilton import (
+    hamiltonian_path,
+    longest_cycle,
+    longest_path,
+    spanning_cycle_bipartite,
+)
 from pathcover.pipeline import PipelineConfig, path_cover, path_cover_bipartite
 from pathcover.regularity import equitable_partition, is_eps_regular
 
@@ -208,3 +213,59 @@ def _exact_dp_lines() -> list[str]:
 def test_exact_dp_matches_golden():
     golden = (GOLDEN / "exact_dp.txt").read_text().splitlines()
     assert _exact_dp_lines() == [line for line in golden if not line.startswith("#")]
+
+
+def _vertices(found) -> str:
+    return " ".join(map(str, found.vertices)) if found is not None else "none"
+
+
+def _rotation_search_lines() -> list[str]:
+    """What the rotation-extension heuristic returns on hosts above
+    EXHAUSTIVE_CAP, at fixed seeds and budgets: random graphs, random
+    `within` subsets and bipartite sides, and unions of cliques and of
+    bicliques, where the path spans its component early and the search burns
+    rotations up to its cap or the budget. Pins the search's rng stream."""
+    hosts = [
+        (f"{family}({n},c={c},seed={seed})", generate(GenSpec(n, degree_from_ratio(n, c), family, seed)))
+        for family, n, c, seed in (
+            ("random-regular", 60, 0.3, 0),
+            ("random-regular", 120, 0.1, 1),
+            ("random-regular", 200, 0.45, 2),
+            ("random-regular", 300, 0.2, 3),
+            ("random-bipartite-regular", 60, 0.15, 0),
+            ("random-bipartite-regular", 160, 0.1, 1),
+            ("random-bipartite-regular", 240, 0.3, 2),
+        )
+    ] + [
+        ("4xK30", extremal_family(GenSpec(120, 29, "disjoint-cliques"))),
+        ("3xK20,20", extremal_family(GenSpec(120, 20, "disjoint-bicliques"))),
+    ]
+    lines = []
+    for i, (name, g) in enumerate(hosts):
+        rng = random.Random(mix64(0xE7, i))
+        within = sorted(rng.sample(range(g.n), g.n // 3))
+        for seed, budget in ((i, 400), (i + 1, 3000)):
+            head = f"{name} seed={seed} budget={budget}"
+            lines.append(f"{head} longest_cycle -> {_vertices(longest_cycle(g, budget=budget, seed=seed))}")
+            lines.append(
+                f"{head} longest_cycle within -> "
+                + _vertices(longest_cycle(g, within=within, budget=budget, seed=seed))
+            )
+            lines.append(f"{head} longest_path -> {_vertices(longest_path(g, budget=budget, seed=seed))}")
+            lines.append(
+                f"{head} longest_path within -> "
+                + _vertices(longest_path(g, within=within, budget=budget, seed=seed))
+            )
+            res = hamiltonian_path(g, budget=budget, seed=seed)
+            lines.append(f"{head} hamiltonian_path ok={res.ok} -> {_vertices(res.best)}")
+            if g.bipartition is not None:
+                x, y = (sorted(side) for side in g.bipartition)
+                for label, part in (("", slice(None)), (" within", slice(0, None, 3))):
+                    res = spanning_cycle_bipartite(g, x[part], y[part], budget=budget, seed=seed)
+                    lines.append(f"{head} spanning_cycle_bipartite{label} ok={res.ok} -> {_vertices(res.best)}")
+    return lines
+
+
+def test_rotation_search_matches_golden():
+    golden = (GOLDEN / "rotation_search.txt").read_text().splitlines()
+    assert _rotation_search_lines() == [line for line in golden if not line.startswith("#")]
