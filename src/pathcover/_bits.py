@@ -32,20 +32,21 @@ def set_of(mask: int) -> frozenset[int]:
 
 def nth_bit(mask: int, idx: int) -> int:
     """Position of the idx-th set bit (0-based). idx must be < popcount."""
-    # Skip 64-bit chunks first so random picks stay fast on wide masks.
+    if not 0 <= idx < mask.bit_count():
+        raise IndexError("bit index out of range")
+    # Keep the half of the window that holds the bit: log2(bit_length) steps.
     offset = 0
-    while mask:
-        chunk = mask & _MASK64
-        c = chunk.bit_count()
+    while idx:
+        half = mask.bit_length() >> 1
+        low = mask & ((1 << half) - 1)
+        c = low.bit_count()
         if idx < c:
-            for pos in bits(chunk):
-                if idx == 0:
-                    return offset + pos
-                idx -= 1
-        idx -= c
-        mask >>= 64
-        offset += 64
-    raise IndexError("bit index out of range")
+            mask = low
+        else:
+            idx -= c
+            mask >>= half
+            offset += half
+    return offset + (mask & -mask).bit_length() - 1
 
 
 def mix64(*parts: int) -> int:

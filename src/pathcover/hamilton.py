@@ -130,7 +130,6 @@ def _grow_path(
 ) -> list[int]:
     """One rotation-extension attempt from `start`; returns the path found."""
     path = [start]
-    pos = {start: 0}
     mask = 1 << start
     rotations = 0
     while True:
@@ -140,7 +139,6 @@ def _grow_path(
             if not cands:
                 break
             v = _pick_bit(cands, rng)
-            pos[v] = len(path)
             path.append(v)
             mask |= 1 << v
         if mask == active:
@@ -148,8 +146,6 @@ def _grow_path(
         # a blocked tail may free up after flipping to the other end
         if adj[path[0]] & active & ~mask:
             path.reverse()
-            for i, v in enumerate(path):
-                pos[v] = i
             continue
         rotations += 1
         if rotations > rot_cap or not budget.spend():
@@ -160,15 +156,8 @@ def _grow_path(
         pivots &= ~(1 << path[-1])
         if not pivots:
             return path
-        w = _pick_bit(pivots, rng)
-        i = pos[w]
-        lo, hi = i + 1, len(path) - 1
-        while lo < hi:
-            path[lo], path[hi] = path[hi], path[lo]
-            pos[path[lo]] = lo
-            pos[path[hi]] = hi
-            lo += 1
-            hi -= 1
+        i = path.index(_pick_bit(pivots, rng))
+        path[i + 1 :] = path[:i:-1]
 
 
 def _close_cycle(
@@ -195,9 +184,8 @@ def _close_cycle(
         pivots = adj[tail] & mask & ~(1 << path[-2]) & ~(1 << tail)
         if not pivots:
             return None
-        w = _pick_bit(pivots, rng)
-        i = path.index(w)
-        path[i + 1 :] = path[i + 1 :][::-1]
+        i = path.index(_pick_bit(pivots, rng))
+        path[i + 1 :] = path[:i:-1]
     return None
 
 
