@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from ._bits import bits, mask_of, mix64, nth_bit
-from .graph import Graph
+from .graph import Graph, _vertex_mask
 
 EXHAUSTIVE_CAP = 14
 
@@ -297,7 +297,7 @@ def spanning_cycle_bipartite(
     is required (a spanning alternating cycle forces balance). Up to
     EXHAUSTIVE_CAP vertices a failed heuristic falls back to exact DP.
     """
-    xm, ym = mask_of(x), mask_of(y)
+    xm, ym = _vertex_mask(g, x), _vertex_mask(g, y)
     if xm & ym:
         raise ValueError("sides overlap")
     nx, ny = xm.bit_count(), ym.bit_count()
@@ -333,7 +333,7 @@ def longest_path(
     seed: int = 0,
 ) -> Path:
     """Heuristic longest path inside `within` (default: all vertices)."""
-    active = mask_of(within) if within is not None else (1 << g.n) - 1
+    active = _vertex_mask(g, within) if within is not None else (1 << g.n) - 1
     if not active:
         raise ValueError("empty vertex set")
     if budget is not None and budget < 1:
@@ -352,9 +352,11 @@ def longest_cycle(
     seed: int = 0,
 ) -> Optional[Cycle]:
     """Heuristic long cycle inside `within`; None when none was closed."""
-    active = mask_of(within) if within is not None else (1 << g.n) - 1
+    active = _vertex_mask(g, within) if within is not None else (1 << g.n) - 1
     if not active:
         raise ValueError("empty vertex set")
+    if budget is not None and budget < 1:
+        raise ValueError(f"budget must be positive, got {budget}")
     n_active = active.bit_count()
     if n_active < 3:
         return None

@@ -165,6 +165,30 @@ def test_longest_path_rejects_nonpositive_budget(budget):
         longest_path(complete(10), budget=budget)
 
 
+@pytest.mark.parametrize("budget", [0, -3])
+def test_longest_cycle_rejects_nonpositive_budget(budget):
+    with pytest.raises(ValueError, match="budget must be positive"):
+        longest_cycle(complete(10), budget=budget)
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda g: longest_path(g, within=[0, 50]),
+        lambda g: longest_cycle(g, within=[0, 1, 2, 50]),
+        lambda g: longest_path(g, within=[-1, 2]),
+        lambda g: longest_cycle(g, within=[-1, 0, 1]),
+        lambda g: spanning_cycle_bipartite(g, [0, 2], [1, -3]),
+        lambda g: spanning_cycle_bipartite(g, [0, 2, 10], [1, 3, 5]),
+    ],
+    ids=["path-high", "cycle-high", "path-negative", "cycle-negative", "bipartite-negative", "bipartite-high"],
+)
+def test_searches_reject_foreign_vertex_ids(search):
+    ten_cycle = Graph(10, [(i, (i + 1) % 10) for i in range(10)])
+    with pytest.raises(ValueError, match=r"vertices must lie in 0\.\.9"):
+        search(ten_cycle)
+
+
 def test_longest_cycle_on_dense_graph_spans():
     g = complete(12)
     c = longest_cycle(g, seed=0)
