@@ -4,12 +4,14 @@ Refactors of the pipeline must not change what it emits: the bench CSV with
 `--timing none`, the run report and the cover itself. The bench CSV pins only
 `method,paths,uncovered`, which a different graph can reproduce, so the
 generated graphs are pinned too: by the sha256 of their edge-list text, and
-the benchmark's larger graphs by the sha256 of their packed adjacency rows. A
+the benchmark's larger graphs by the sha256 of their packed adjacency rows.
+The line of `scripts/identity_digest.py` pins its wider grid of covers. A
 deliberate behaviour change regenerates these files in the same commit and
 says why.
 """
 
 import hashlib
+import importlib.util
 import random
 from pathlib import Path as FsPath
 
@@ -29,6 +31,7 @@ from pathcover.pipeline import PipelineConfig, path_cover, path_cover_bipartite
 from pathcover.regularity import equitable_partition, is_eps_regular
 
 GOLDEN = FsPath(__file__).parent / "golden"
+SCRIPTS = FsPath(__file__).parents[1] / "scripts"
 
 # c = 0.6 (general) and c = 0.3, 0.45 (bipartite) take the complement branch
 GRAPH_CASES = (
@@ -269,3 +272,14 @@ def _rotation_search_lines() -> list[str]:
 def test_rotation_search_matches_golden():
     golden = (GOLDEN / "rotation_search.txt").read_text().splitlines()
     assert _rotation_search_lines() == [line for line in golden if not line.startswith("#")]
+
+
+def test_identity_digest_matches_golden(capsys):
+    # one sha256 over 404 covers, their reports and merge logs, and the
+    # regularity layer of every graph; the grid is documented in the script
+    spec = importlib.util.spec_from_file_location("identity_digest", SCRIPTS / "identity_digest.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main() == 0
+    golden = (GOLDEN / "identity_digest.txt").read_text().splitlines()
+    assert capsys.readouterr().out.splitlines() == [line for line in golden if not line.startswith("#")]
