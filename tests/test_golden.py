@@ -136,6 +136,26 @@ def test_path_cover_bipartite_fallback_loop_matches_golden():
     assert text == (GOLDEN / "path_cover_bipartite_bicliques240.txt").read_text()
 
 
+# random bipartite-regular graphs with gamma=0.25 on which the first pass and
+# the first fallback attempt of the path stage leave vertices uncovered, and a
+# later attempt (the third for seed 5013) covers every vertex with one path
+FALLBACK_ATTEMPT_CASES = ((16, 5, 0.3125, 656), (32, 8, 0.25, 5672), (34, 12, 0.352941176, 5013), (36, 9, 0.25, 18))
+
+
+def _fallback_attempts_text() -> str:
+    text = ""
+    for n, k, c, seed in FALLBACK_ATTEMPT_CASES:
+        g = generate(GenSpec(n, k, "random-bipartite-regular", seed))
+        cover, rep = path_cover_bipartite(g, PipelineConfig.derive(c, 0.1, gamma=0.25, seed=seed))
+        assert rep.success
+        text += f"== n={n} k={k} c={c} seed={seed}\n" + rep.to_kv_text() + write_cover_file(cover)
+    return text
+
+
+def test_path_cover_bipartite_later_fallback_attempts_match_golden():
+    assert _fallback_attempts_text() == (GOLDEN / "path_cover_bipartite_fallback_attempts.txt").read_text()
+
+
 # graph name -> (graph, c of its degree); whole clusters take the heuristic
 # verdict, every fourth of their first 32 vertices the exact one
 REGULARITY_GRAPHS = {
