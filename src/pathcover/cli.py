@@ -31,8 +31,6 @@ from .oracle import (
     binomial_tail_exact,
     conjecture_spot_check,
     cube_graph,
-    independence_number,
-    min_path_cover_exact,
     petersen_graph,
 )
 from .pipeline import (
@@ -128,17 +126,37 @@ def read_cover_file(text: str, g: Graph) -> PathCover:
 # -------------------------------------------------------------------- commands
 
 
+CONFIG_KEYS = ("c", "alpha", "d", "eps", "gamma", "t")
+
+
+def _read_config(path: str) -> dict[str, float]:
+    """The key=value lines of a --config file; blank and '#' lines are skipped.
+    A line without '=', an unknown key, a value that is not a number and a
+    non-integer t raise ValueError naming the file and line."""
+    vals: dict[str, float] = {}
+    with open(path, encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, sep, val = (part.strip() for part in line.partition("="))
+            where = f"{path}, line {line_no}"
+            if not sep:
+                raise ValueError(f"{where}: expected key=value, got {line!r}")
+            if key not in CONFIG_KEYS:
+                raise ValueError(f"{where}: unknown key {key!r}; known keys: {', '.join(CONFIG_KEYS)}")
+            try:
+                vals[key] = float(val)
+            except ValueError:
+                raise ValueError(f"{where}: {key} must be a number, got {val!r}") from None
+            if key == "t" and not vals[key].is_integer():
+                raise ValueError(f"{where}: t must be an integer, got {val!r}")
+    return vals
+
+
 def _resolve_cfg(args, g: Graph) -> PipelineConfig:
     """flags > config file > derived defaults."""
-    file_vals: dict[str, float] = {}
-    if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, _, val = line.partition("=")
-                file_vals[key.strip()] = float(val.strip())
+    file_vals = _read_config(args.config) if args.config else {}
 
     def pick(name: str, flag_val):
         if flag_val is not None:
@@ -273,6 +291,10 @@ def cmd_bench(args) -> int:
     ns = _parse_list(args.n, int)
     seeds = _parse_seed_range(args.seeds)
     family = "random-bipartite-regular" if args.bipartite else "random-regular"
+    for c, n in itertools.product(cs, ns):
+        # a parameter error exits 2 here instead of failing every trial of its cell
+        PipelineConfig.derive(c, args.alpha)
+        GenSpec(n, degree_from_ratio(n, c), family)
     # the per-trial seed and the sweep cell pin the whole trial; generators
     # mix (seed, n, k) internally so cells sharing a seed stay independent
     trials = [

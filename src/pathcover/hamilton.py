@@ -366,18 +366,8 @@ def longest_cycle(
     return Cycle(tuple(found)) if found is not None else None
 
 
-def cycle_to_path(c: Cycle, drop: Optional[int] = None) -> Path:
-    """Open a cycle into a path.
-
-    Without `drop`, one cycle edge is cut, so the path keeps every vertex and
-    its ends are adjacent on the cycle (in a bipartite host this puts one end
-    on each side). With `drop`, that vertex is removed and the path runs
-    through the remaining ones.
-    """
-    vs = c.vertices
-    if drop is None:
-        return Path(vs)
-    if drop not in vs:
-        raise ValueError(f"vertex {drop} is not on the cycle")
-    i = vs.index(drop)
-    return Path(vs[i + 1 :] + vs[:i])
+def cycle_to_path(c: Cycle) -> Path:
+    """Open a cycle into a path by cutting one cycle edge: the path keeps every
+    vertex and its ends are adjacent on the cycle (in a bipartite host this
+    puts one end on each side)."""
+    return Path(c.vertices)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ._bits import bits, mask_of
 from .graph import Graph
@@ -49,7 +49,6 @@ class HalfIntegralMatching:
     def validate(self, g: Graph) -> None:
         """Check feasibility, half-integrality, and the support shape."""
         load: dict[int, Fraction] = {}
-        half_adj: dict[int, list[int]] = {}
         for (u, v), w in self.weights.items():
             if not g.adjacent(u, v):
                 raise ValueError(f"weight on non-edge ({u},{v})")
@@ -57,32 +56,15 @@ class HalfIntegralMatching:
                 raise ValueError(f"weight {w} not in {{1/2, 1}}")
             load[u] = load.get(u, Fraction(0)) + w
             load[v] = load.get(v, Fraction(0)) + w
-            if w == HALF:
-                half_adj.setdefault(u, []).append(v)
-                half_adj.setdefault(v, []).append(u)
         for v, l in load.items():
             if l > 1:
                 raise ValueError(f"vertex {v} overloaded: {l}")
-        # half-weight support must decompose into odd cycles
-        seen: set[int] = set()
-        for start in sorted(half_adj):
-            if start in seen:
-                continue
-            # every vertex on a half-structure must have exactly two half-edges,
-            # otherwise it is a path, which the canonical form forbids
-            comp = [start]
-            seen.add(start)
-            frontier = [start]
-            while frontier:
-                v = frontier.pop()
-                for w in half_adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        comp.append(w)
-                        frontier.append(w)
-            if any(len(half_adj[v]) != 2 for v in comp):
+        # no vertex has three half-edges now, so the half-weight support is
+        # paths and cycles; the canonical form allows only odd cycles
+        for walk, closed in _half_walks(_half_adj(self.weights.items())):
+            if not closed:
                 raise ValueError("half-weight support contains a path component")
-            if len(comp) % 2 == 0:
+            if len(walk) % 2 == 0:
                 raise ValueError("half-weight support contains an even cycle")
 
 
@@ -144,67 +126,63 @@ def fractional_matching(g: Graph) -> HalfIntegralMatching:
 
 def _canonicalize(weights: dict[tuple[int, int], Fraction]) -> None:
     """Round even alternating half-weight structures to integral weights."""
-    half_adj: dict[int, list[int]] = {}
-    for (u, v), w in weights.items():
-        if w == HALF:
-            half_adj.setdefault(u, []).append(v)
-            half_adj.setdefault(v, []).append(u)
 
     def edge(u: int, v: int) -> tuple[int, int]:
         return (u, v) if u < v else (v, u)
 
-    seen: set[int] = set()
-    for start in sorted(half_adj):
-        if start in seen:
-            continue
-        # collect the component; every vertex here has 1 or 2 half-edges
-        stack = [start]
-        comp = {start}
-        while stack:
-            v = stack.pop()
-            for w in half_adj[v]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        ends = sorted(v for v in comp if len(half_adj[v]) == 1)
-        if ends:
-            order = _walk(half_adj, ends[0], None)
-            if len(order) % 2 == 0:
-                raise AssertionError("odd half-weight path contradicts maximality")
-        else:
-            v0 = min(comp)
-            order = _walk(half_adj, v0, min(half_adj[v0]))
-            if len(order) % 2 == 1:
-                continue  # odd cycle: canonical already
+    for walk, closed in _half_walks(_half_adj(weights.items())):
+        if not closed and len(walk) % 2 == 0:
+            raise AssertionError("odd half-weight path contradicts maximality")
+        if closed and len(walk) % 2 == 1:
+            continue  # odd cycle: canonical already
         # alternate 1, 0, 1, ... along the walk (cycle walks have even length)
-        for i in range(len(order) - 1):
-            e = edge(order[i], order[i + 1])
-            weights[e] = ONE if i % 2 == 0 else Fraction(0)
-        if not ends:
-            e = edge(order[-1], order[0])
-            weights[e] = Fraction(0)
+        for i in range(len(walk) - 1):
+            weights[edge(walk[i], walk[i + 1])] = ONE if i % 2 == 0 else Fraction(0)
+        if closed:
+            weights[edge(walk[-1], walk[0])] = Fraction(0)
     for e in [e for e, w in weights.items() if w == 0]:
         del weights[e]
 
 
-def _walk(half_adj: dict[int, list[int]], start: int, second: Optional[int]) -> list[int]:
-    order = [start]
-    prev = None
-    cur = start
-    if second is not None:
-        order.append(second)
-        prev, cur = start, second
-    while True:
-        nxts = [w for w in half_adj[cur] if w != prev]
-        if not nxts:
-            break
-        nxt = nxts[0]
-        if nxt == start:
-            break
-        order.append(nxt)
-        prev, cur = cur, nxt
-    return order
+def _half_adj(weights: Iterable[tuple[tuple[int, int], Fraction]]) -> dict[int, list[int]]:
+    """Neighbor lists of the weight-1/2 edges, in the order of `weights`."""
+    half_adj: dict[int, list[int]] = {}
+    for (u, v), w in weights:
+        if w == HALF:
+            for a, b in ((u, v), (v, u)):
+                half_adj.setdefault(a, []).append(b)
+    return half_adj
+
+
+def _half_walks(half_adj: dict[int, list[int]]) -> Iterator[tuple[list[int], bool]]:
+    """Each component of the half-weight support as (walk, closed), smallest
+    vertex first. A path is walked from its smaller end; a cycle (closed) from
+    its smallest vertex toward that vertex's smaller neighbor. Raises
+    ValueError if a vertex has more than two half-edges."""
+    seen: set[int] = set()
+    for start in sorted(half_adj):
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            for w in half_adj[stack.pop()]:
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        if any(len(half_adj[v]) > 2 for v in comp):
+            raise ValueError("half-weight support has a vertex with more than two half-edges")
+        ends = [v for v in comp if len(half_adj[v]) == 1]
+        walk = [min(ends)] if ends else [start, min(half_adj[start])]
+        prev = None if ends else start
+        while True:
+            nxt = next((w for w in half_adj[walk[-1]] if w != prev), None)
+            if nxt is None or nxt == walk[0]:
+                break
+            prev = walk[-1]
+            walk.append(nxt)
+        yield walk, not ends
 
 
 def max_deficiency(g: Graph) -> tuple[int, frozenset[int]]:
@@ -270,21 +248,13 @@ def cluster_matching_pairs(
         claim(i, 2)
         claim(j, 2)
         pairings.append((i, 2, j, 2))
-    half_adj: dict[int, list[int]] = {}
-    for (u, v), w in sorted(f.weights.items()):
-        if w == HALF:
-            half_adj.setdefault(u, []).append(v)
-            half_adj.setdefault(v, []).append(u)
-    seen: set[int] = set()
-    for start in sorted(half_adj):
-        if start in seen:
-            continue
-        order = _walk(half_adj, start, min(half_adj[start]))
-        seen |= set(order)
-        if len(order) % 2 == 0:
+    for walk, closed in _half_walks(_half_adj(sorted(f.weights.items()))):
+        if not closed:
+            raise ValueError("half-integral matching support has a path component")
+        if len(walk) % 2 == 0:
             raise ValueError("half-integral matching support has an even cycle")
-        for s in range(len(order)):
-            a, b = order[s], order[(s + 1) % len(order)]
+        for s in range(len(walk)):
+            a, b = walk[s], walk[(s + 1) % len(walk)]
             claim(a, 2)
             claim(b, 1)
             pairings.append((a, 2, b, 1))

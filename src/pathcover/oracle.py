@@ -11,7 +11,6 @@
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union

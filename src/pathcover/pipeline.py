@@ -799,13 +799,13 @@ def _path_stage(
     cover = _finalize(g, paths, limit, alpha_cap, rep)
 
     # labeled fallback: strip paths directly, then the same connection loop;
-    # a few attempts with fresh seeds and growing budget
+    # a few attempts with fresh seeds and growing budget. Later attempts are
+    # rare but not dead: tests/golden/path_cover_bipartite_fallback_attempts.txt
+    # pins four small bipartite inputs that only the second or third completes
     for attempt in range(3):
         if rep.success:
             break
-        fb_rep = RunReport(n=n, method="greedy-fallback")
-        fb_rep.reservoir_size = len(r)
-        fb_rep.reservoir_vertices = r
+        fb_rep = RunReport(n=n, method="greedy-fallback", reservoir_size=len(r), reservoir_vertices=r)
         fb_paths = _strip(
             g,
             longest_path,

@@ -184,12 +184,11 @@ def _exact_check(g: Graph, a_list: list[int], b_list: list[int], eps: Fraction) 
                 col[jb] |= 1 << ia
     e_ab = sum(c.bit_count() for c in col)
     nanb = na * nb
-    low_j = [jb for jb in range(nb)]
     for xmask in range(1, 1 << na):
         xsz = xmask.bit_count()
         if xsz * q <= p * na:
             continue
-        cnt = [(col[jb] & xmask).bit_count() for jb in low_j]
+        cnt = [(c & xmask).bit_count() for c in col]
         e_of = [0] * (1 << nb)
         for ymask in range(1, 1 << nb):
             low = ymask & -ymask
@@ -282,33 +281,29 @@ def clean_super_regular(
     if dfrac <= 3 * epsf:
         raise ValueError("need d > 3*eps")
     lo = (dfrac - epsf) * nb
-    bad_a = [v for v in sorted(bits(am)) if (g.adjacency_mask(v) & bm).bit_count() < lo]
-    bad_b = [v for v in sorted(bits(bm)) if (g.adjacency_mask(v) & am).bit_count() < lo]
     r = -((-epsf.numerator * na) // epsf.denominator)  # ceil(eps * |a|)
+    n_low: list[int] = []  # low-degree vertices per side
+    kept: list[VertexSet] = []
+    for side, other in ((am, bm), (bm, am)):
+        vs = sorted(bits(side))
+        drop = {v for v in vs if (g.adjacency_mask(v) & other).bit_count() < lo}
+        n_low.append(len(drop))
+        for v in vs:
+            if len(drop) >= r:
+                break
+            drop.add(v)
+        kept.append(frozenset(vs) - drop)
     if r >= na:
         raise CleaningFailed(f"eps={float(epsf):.3f} would remove the whole side")
-    if len(bad_a) > epsf * na or len(bad_b) > epsf * nb:
+    if max(n_low) > epsf * na:
         raise CleaningFailed(
-            f"{len(bad_a)}/{len(bad_b)} low-degree vertices exceed eps*|side| = {float(epsf) * na:.2f}"
+            f"{n_low[0]}/{n_low[1]} low-degree vertices exceed eps*|side| = {float(epsf) * na:.2f}"
         )
-    drop_a = set(bad_a)
-    for v in sorted(bits(am)):
-        if len(drop_a) >= r:
-            break
-        drop_a.add(v)
-    drop_b = set(bad_b)
-    for v in sorted(bits(bm)):
-        if len(drop_b) >= r:
-            break
-        drop_b.add(v)
-    x = frozenset(bits(am)) - drop_a
-    y = frozenset(bits(bm)) - drop_b
-    xm, ym = mask_of(x), mask_of(y)
+    x, y = kept
     floor_deg = (dfrac - 3 * epsf) * len(y)
-    for v in sorted(x):
-        if (g.adjacency_mask(v) & ym).bit_count() <= floor_deg:
-            raise CleaningFailed(f"vertex {v} fails the super-regularity audit")
-    for v in sorted(y):
-        if (g.adjacency_mask(v) & xm).bit_count() <= floor_deg:
-            raise CleaningFailed(f"vertex {v} fails the super-regularity audit")
+    for side, other in ((x, y), (y, x)):
+        om = mask_of(other)
+        for v in sorted(side):
+            if (g.adjacency_mask(v) & om).bit_count() <= floor_deg:
+                raise CleaningFailed(f"vertex {v} fails the super-regularity audit")
     return x, y

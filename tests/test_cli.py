@@ -221,3 +221,49 @@ def test_config_file_precedence(tmp_path, capsys):
     assert code == 0
     assert "alpha=0.15" in err
     assert "c=0.5" in err
+
+
+@pytest.mark.parametrize(
+    "text, bad_line, fragment",
+    [
+        ("c=0.5\nalhpa=0.2\n", 2, "unknown key 'alhpa'"),
+        ("# seeds come from --seed\nseed=3\n", 2, "unknown key 'seed'"),
+        ("t=2.7\n", 1, "t must be an integer"),
+        ("c=0.5\n\nalpha\n", 3, "expected key=value"),
+        ("alpha=\n", 1, "alpha must be a number"),
+    ],
+)
+def test_config_file_rejects_bad_lines(tmp_path, capsys, text, bad_line, fragment):
+    gfile = tmp_path / "g.txt"
+    run(capsys, "generate", "--family", "random-regular", "--n", "40", "--c", "0.5", "-o", str(gfile))
+    cfgfile = tmp_path / "cover.cfg"
+    cfgfile.write_text(text)
+    code, out, err = run(capsys, "cover", str(gfile), "--config", str(cfgfile))
+    assert code == 2
+    assert out == ""
+    assert f"{cfgfile}, line {bad_line}: " in err and fragment in err
+
+
+def test_config_file_accepts_integral_t(tmp_path, capsys):
+    gfile = tmp_path / "g.txt"
+    run(capsys, "generate", "--family", "random-regular", "--n", "40", "--c", "0.5", "-o", str(gfile))
+    cfgfile = tmp_path / "cover.cfg"
+    cfgfile.write_text("t = 4.0\n")
+    code, _, err = run(capsys, "cover", str(gfile), "--config", str(cfgfile))
+    assert code in (0, 1)
+    assert "error" not in err
+
+
+@pytest.mark.parametrize(
+    "flags, fragment",
+    [
+        (["--c", "0.5", "--n", "40", "--alpha", "2"], "alpha must be in (0, 1]"),
+        (["--c", "0.5", "--n", "40,0"], "need n > 0"),
+        (["--c", "1.5", "--n", "40"], "c must be in (0, 1]"),
+    ],
+)
+def test_bench_parameter_error_exits_2_before_any_trial(capsys, flags, fragment):
+    code, out, err = run(capsys, "bench", *flags, "--seeds", "0..1", "--timing", "none", "--threads", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and fragment in err

@@ -129,26 +129,12 @@ def test_cycle_to_path_cut_edge():
     assert len(p) == 3
 
 
-def test_cycle_to_path_drop_vertex():
-    tri = Cycle((0, 1, 2))
-    p = cycle_to_path(tri, drop=1)
-    assert len(p) == 2 and 1 not in p.vertices
-
-
-def test_cycle_to_path_drop_must_lie_on_cycle():
-    with pytest.raises(ValueError):
-        cycle_to_path(Cycle((0, 1, 2)), drop=9)
-
-
 def test_cut_alternating_cycle_has_one_end_per_side():
     g = Graph(12, [(i, 6 + j) for i in range(6) for j in range(6)])
     res = spanning_cycle_bipartite(g, range(6), range(6, 12), seed=2)
     p = cycle_to_path(res.cycle)
     e0, e1 = p.ends
     assert (e0 < 6) != (e1 < 6)
-    # dropping a vertex removes exactly that vertex
-    v = res.cycle.vertices[3]
-    assert v not in cycle_to_path(res.cycle, drop=v).vertices
 
 
 def test_longest_path_respects_active_set():

@@ -170,3 +170,17 @@ def test_pairing_count_is_twice_value_on_mixed_support():
     f = HalfIntegralMatching(weights)
     pairings = cluster_matching_pairs(h, f)
     assert len(pairings) == 2 * f.value == 7
+
+
+def test_pairings_reject_half_weight_path():
+    h = cluster_graph_of(3, [(0, 1), (1, 2)])
+    f = HalfIntegralMatching({(0, 1): HALF, (1, 2): HALF})
+    with pytest.raises(ValueError, match="path component"):
+        cluster_matching_pairs(h, f)
+
+
+def test_pairings_reject_three_half_edges_at_a_vertex():
+    star = [(0, 1), (0, 2), (0, 3)]
+    f = HalfIntegralMatching({e: HALF for e in star})
+    with pytest.raises(ValueError, match="more than two half-edges"):
+        cluster_matching_pairs(cluster_graph_of(4, star), f)
