@@ -2,10 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pathcover.graph import Graph, density
+from pathcover._bits import mask_of, mix64
+from pathcover.graph import Graph, density, induced_subgraph
 from pathcover.regularity import (
+    REFINE,
     CleaningFailed,
+    Partition,
     build_cluster_graph,
     clean_super_regular,
     equitable_partition,
@@ -83,6 +88,69 @@ def test_partition_rejects_bad_t():
 def test_partition_determinism():
     g = Graph(30, [(i, i + 1) for i in range(29)])
     assert equitable_partition(g, 3, seed=7) == equitable_partition(g, 3, seed=7)
+
+
+def reference_mean_square_density(g, clusters, m):
+    """Mean of (e(V_i, V_j) / m^2)^2 over pairs i < j, summed left to right."""
+    t = len(clusters)
+    if t < 2:
+        return 0.0
+    masks = [mask_of(cl) for cl in clusters]
+    total = 0.0
+    for i in range(t):
+        for j in range(i + 1, t):
+            e = sum((g.adjacency_mask(v) & masks[j]).bit_count() for v in clusters[i])
+            total += (e / (m * m)) ** 2
+    return total / (t * (t - 1) / 2)
+
+
+def reference_partition(g, t, seed, within=None):
+    """The partition loop as first written: relabel the working set to
+    0..n'-1, score REFINE shuffles one by one, keep the first best, map back."""
+    sub, mapping = induced_subgraph(g, range(g.n) if within is None else within)
+    m = (sub.n // t) & ~1
+    best, best_index = None, -1.0
+    for round_ in range(REFINE):
+        perm = list(range(sub.n))
+        random.Random(mix64(seed, 0x9A27, round_)).shuffle(perm)
+        clusters = [perm[i * m : (i + 1) * m] for i in range(t)]
+        index = reference_mean_square_density(sub, clusters, m)
+        if index > best_index:
+            best, best_index = perm, index
+    return Partition(
+        frozenset(mapping[v] for v in best[t * m :]),
+        tuple(frozenset(mapping[v] for v in best[i * m : (i + 1) * m]) for i in range(t)),
+        m,
+    )
+
+
+@st.composite
+def partition_inputs(draw):
+    """(graph, t, seed): n <= 200, t in 1..8 with nonempty clusters, and an
+    edge probability that includes 0 (every draw ties) and 1."""
+    n = draw(st.integers(2, 200))
+    t = draw(st.integers(1, min(8, n // 2)))
+    p = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return Graph(n, edges), t, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(partition_inputs())
+def test_partition_matches_reference_loop(case):
+    g, t, seed = case
+    assert equitable_partition(g, t, seed=seed) == reference_partition(g, t, seed)
+
+
+def test_partition_edgeless_graph_keeps_the_first_draw():
+    # every score is 0.0, so strict > keeps draw 0
+    g = Graph(50, [])
+    perm = list(range(50))
+    random.Random(mix64(3, 0x9A27, 0)).shuffle(perm)
+    p = equitable_partition(g, 4, seed=3)
+    assert p == reference_partition(g, 4, 3)
+    assert p.clusters[0] == frozenset(perm[:12]) and p.exceptional == frozenset(perm[48:])
 
 
 # ------------------------------------------------------------------ regularity
