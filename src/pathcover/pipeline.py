@@ -27,7 +27,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from ._bits import bits, mask_of, mix64
 from .generators import degree_from_ratio
-from .graph import Graph, induced_subgraph
+from .graph import Graph
+from .graph import induced_subgraph  # noqa: F401  (kept only for perfbench's tracer)
 from .hamilton import (
     Cycle,
     Path,
@@ -45,12 +46,12 @@ from .matching import (
 from .regularity import (
     CleaningFailed,
     ClusterGraph,
-    _pair_counts,
-    build_cluster_graph,
+    _dense_pairs,
+    _partition_with_counts,
     clean_super_regular,
-    equitable_partition,
     is_eps_regular,
 )
+from .regularity import build_cluster_graph, equitable_partition  # noqa: F401  (kept only for perfbench's tracer)
 
 
 class DegenerateParameterError(ValueError):
@@ -353,19 +354,33 @@ def cycle_cover(
     Tries the regularity route; on shortfall, strips long cycles greedily and
     labels the report `greedy-fallback`. Never emits overlapping cycles.
     """
-    n = g.n
+    return _cycle_stage(g, range(g.n), cfg, strict_window)
+
+
+def _cycle_stage(
+    g: Graph,
+    rest: Sequence[int],
+    cfg: PipelineConfig,
+    strict_window: bool,
+) -> tuple[CycleSet, RunReport]:
+    """`cycle_cover` of the subgraph induced on the sorted ids `rest`, in g's
+    ids. The stage reads g only through `rest`, and ordering by id agrees with
+    the relabelling 0..|rest|-1, so it returns what `cycle_cover` would on
+    that relabelled copy, mapped back."""
+    n = len(rest)
     rep = RunReport(n=n)
     eps = cfg.eps
     cn = _dec(cfg.c) * n
     lo, hi = (1 - _dec(eps)) * cn, (1 + _dec(eps)) * cn
-    violations = sum(1 for v in range(n) if not lo < g.degree(v) < hi)
+    rmask = mask_of(rest)
+    violations = sum(1 for v in rest if not lo < (g.adjacency_mask(v) & rmask).bit_count() < hi)
     if violations:
         msg = f"{violations} vertices outside the (1±eps)c*n degree window"
         if strict_window:
             raise ValueError(msg)
         rep.note(msg)
     alpha_cap = int(_dec(cfg.alpha) * n)
-    cycles = _regularity_cycles(g, cfg, rep)
+    cycles = _regularity_cycles(g, rest, cfg, rep)
     if cycles is not None:
         covered = len(_covered_vertices(cycles))
         if n - covered > alpha_cap:
@@ -376,7 +391,7 @@ def cycle_cover(
             cycles = None
     if cycles is None:
         t_cap = cfg.t if cfg.t is not None else max(_default_t(n), 4)
-        cycles = _strip(g, longest_cycle, range(n), (cfg.seed, 0xFA11), t_cap, keep=alpha_cap)
+        cycles = _strip(g, longest_cycle, rest, (cfg.seed, 0xFA11), t_cap, keep=alpha_cap)
         rep.method = "greedy-fallback"
     covered = _covered_vertices(cycles)
     rep.cycles_found = len(cycles)
@@ -384,35 +399,39 @@ def cycle_cover(
     rep.uncovered = n - len(covered)
     rep.final_count = len(cycles)
     rep.success = rep.uncovered <= alpha_cap
-    return CycleSet(cycles, frozenset(range(n)) - covered), rep
+    return CycleSet(cycles, frozenset(rest) - covered), rep
 
 
 def _regularity_cycles(
     g: Graph,
+    rest: Sequence[int],
     cfg: PipelineConfig,
     rep: RunReport,
 ) -> Optional[list[Cycle]]:
-    """The partition/matching/embedding route; None if it cannot proceed."""
-    n = g.n
+    """The partition/matching/embedding route on `rest`; None if it cannot proceed."""
+    n = len(rest)
     eps, d = cfg.eps, cfg.d
     t = cfg.t if cfg.t is not None else _default_t(n)
     m = (n // t) & ~1
     if t < 2 or m < 8:
         rep.note(f"clusters too small (t={t}, m={m}) for the regularity route")
         return None
-    part = equitable_partition(g, t, seed=mix64(cfg.seed, 0x9A91))
+    # the scoring product yields the chosen draw's pair counts; both the
+    # verdicts and the cluster graph read them
+    part, counts = _partition_with_counts(g, rest, t, mix64(cfg.seed, 0x9A91))
+    part.validate(rest)
     rep.t, rep.m, rep.v0 = part.t, part.m, len(part.exceptional)
     if len(part.exceptional) > _dec(eps) * n:
         rep.note(f"|V_0|={rep.v0} exceeds eps*n={float(eps) * n:.2f}")
     eps_f = Fraction(eps)
     verdicts: dict[tuple[int, int], bool] = {}
-    for (i, j), e in _pair_counts(g, part).items():
+    for (i, j), e in counts.items():
         verdict = _single_vertex_verdict(e, m, m, eps_f)
         if verdict is None:
             verdict = is_eps_regular(g, part.clusters[i], part.clusters[j], eps_f).regular
         verdicts[(i, j)] = verdict
     rep.regular_pair_fraction = sum(verdicts.values()) / len(verdicts)
-    dense = build_cluster_graph(g, part, Fraction(d))
+    dense = _dense_pairs(part, counts, Fraction(d))
     usable = {e: dens for e, dens in dense.edges.items() if verdicts[e]}
     h = ClusterGraph(t, dense.threshold, usable)
     rep.cluster_edges = len(usable)
@@ -703,15 +722,8 @@ def _reservoir_relaxed(g: Graph, cfg: PipelineConfig, eps0: float, rep: RunRepor
     return frozenset()
 
 
-def _cycles_to_paths(
-    cycset: CycleSet,
-    mapping: tuple[int, ...],
-) -> list[Path]:
-    out = []
-    for c in cycset.cycles:
-        p = cycle_to_path(c)
-        out.append(Path(tuple(mapping[v] for v in p.vertices)))
-    return out
+def _cycles_to_paths(cycset: CycleSet) -> list[Path]:
+    return [cycle_to_path(c) for c in cycset.cycles]
 
 
 def _finalize(
@@ -785,13 +797,12 @@ def _path_stage(
             del src[:drop]
             rest = sorted(xs + ys)
             rep.note(f"held out {drop} vertices to balance the working sides")
-    g1, mapping = induced_subgraph(g, rest)
-    cycset, crep = cycle_cover(g1, cfg.with_alpha(cfg.alpha / 2), strict_window=False)
+    cycset, crep = _cycle_stage(g, rest, cfg.with_alpha(cfg.alpha / 2), strict_window=False)
     # the cycle stage's diagnostics, on the whole graph; _finalize recounts the cover
     rep = replace(
         crep, n=n, notes=rep.notes + crep.notes, reservoir_size=len(r), reservoir_vertices=r
     )
-    paths = _cycles_to_paths(cycset, mapping)
+    paths = _cycles_to_paths(cycset)
     if not paths:
         paths = _strip(g, longest_path, rest, (mix64(cfg.seed, 2), 0x57A1), 3 * (limit + 1))
         rep.method = "greedy-fallback"

@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .graph import Graph, VertexSet, _adjacency_block, _vertex_mask, density
 
 EXACT_CAP = 10
 REFINE = 20
+ROW_CHUNK = 256  # working rows unpacked per step of the partition's scoring product
 
 Threshold = Union[int, float, Fraction]
 
@@ -53,7 +54,9 @@ class Partition:
     def t(self) -> int:
         return len(self.clusters)
 
-    def validate(self, g: Graph) -> None:
+    def validate(self, vertices: Iterable[int]) -> None:
+        """ValueError unless the parts split `vertices` exactly (the whole
+        graph is `range(g.n)`) into clusters of the common even size m."""
         all_vs: set[int] = set(self.exceptional)
         total = len(self.exceptional)
         for cl in self.clusters:
@@ -63,7 +66,8 @@ class Partition:
             all_vs |= cl
         if self.m % 2 != 0:
             raise ValueError("m must be even")
-        if total != g.n or all_vs != set(range(g.n)):
+        working = set(vertices)
+        if total != len(working) or all_vs != working:
             raise ValueError("partition must split the vertex set exactly")
 
 
@@ -103,30 +107,69 @@ def equitable_partition(g: Graph, t: int, seed: int = 0) -> Partition:
     Draws REFINE candidates and keeps the one with the largest mean-square
     density, which is the quantity partition refinement drives up.
     """
-    n = g.n
+    return _partition_with_counts(g, range(g.n), t, seed)[0]
+
+
+PairCounts = dict[tuple[int, int], int]
+
+
+def _partition_with_counts(
+    g: Graph, within: Sequence[int], t: int, seed: int
+) -> tuple[Partition, PairCounts]:
+    """`equitable_partition` of the subgraph induced on the sorted ids
+    `within`, in g's ids, with the chosen draw's counts e(V_i, V_j), i < j.
+
+    Each draw shuffles the positions 0..n'-1 and maps them through `within`,
+    as a relabelled copy of the subgraph would. All draws are scored by one
+    product A @ P: A is the 0/1 adjacency of `within`, unpacked ROW_CHUNK rows
+    at a time as float32, and P holds the one-hot cluster labels of every
+    draw. Each entry of A @ P counts at most n' < 2**24 ones, so it is exact;
+    the per-draw sums over each cluster's rows are taken in int64, since
+    e(V_i, V_j) reaches m^2.
+    """
+    n = len(within)
     if not 1 <= t <= n:
         raise ValueError(f"need 1 <= t <= n, got t={t}, n={n}")
     m = (n // t) & ~1
     if m == 0:
         raise ValueError(f"clusters would be empty with t={t}, n={n}")
-    best: Optional[Partition] = None
-    best_index = -1.0
+    perms = np.empty((REFINE, n), dtype=np.intp)
     for round_ in range(REFINE):
-        rng = random.Random(mix64(seed, 0x9A27, round_))
         perm = list(range(n))
-        rng.shuffle(perm)
-        clusters = tuple(
-            frozenset(perm[i * m : (i + 1) * m]) for i in range(t)
-        )
-        part = Partition(frozenset(perm[t * m :]), clusters, m)
-        idx = _mean_square_density(g, part)
-        if idx > best_index:
-            best, best_index = part, idx
-    assert best is not None
-    return best
+        random.Random(mix64(seed, 0x9A27, round_)).shuffle(perm)
+        perms[round_] = perm
+    # labels[pos, round]: cluster of working position pos, or t for V_0
+    labels = np.full((n, REFINE), t, dtype=np.intp)
+    labels[perms[:, : t * m].T, np.arange(REFINE)] = (np.arange(t * m) // m)[:, None]
+    onehot = labels[:, :, None] == np.arange(t)  # [pos, round, cluster]
+    p = onehot.reshape(n, REFINE * t).astype(np.float32)
+    cols = np.asarray(within)
+    counts = np.zeros((REFINE, t, t), dtype=np.int64)
+    for lo in range(0, n, ROW_CHUNK):
+        rows = within[lo : lo + ROW_CHUNK]
+        ap = _adjacency_block(g, rows, cols).astype(np.float32) @ p
+        ap = ap.astype(np.int64).reshape(len(rows), REFINE, t).transpose(1, 0, 2)
+        counts += onehot[lo : lo + ROW_CHUNK].transpose(1, 2, 0).astype(np.int64) @ ap
+    pairs = [(i, j) for i in range(t) for j in range(i + 1, t)]
+    best, best_index = 0, -1.0
+    for round_, e in enumerate(counts.tolist()):
+        total = 0.0
+        for i, j in pairs:  # plain left-to-right sum: its rounding picks the draw
+            total += (e[i][j] / (m * m)) ** 2
+        index = total / len(pairs) if pairs else 0.0
+        if index > best_index:
+            best, best_index = round_, index
+    ids = [within[pos] for pos in perms[best].tolist()]
+    part = Partition(
+        frozenset(ids[t * m :]),
+        tuple(frozenset(ids[i * m : (i + 1) * m]) for i in range(t)),
+        m,
+    )
+    e = counts[best].tolist()
+    return part, {(i, j): e[i][j] for i, j in pairs}
 
 
-def _pair_counts(g: Graph, p: Partition) -> dict[tuple[int, int], int]:
+def _pair_counts(g: Graph, p: Partition) -> PairCounts:
     """e(V_i, V_j) for every cluster pair i < j, in that order."""
     masks = [mask_of(cl) for cl in p.clusters]
     return {
@@ -134,15 +177,6 @@ def _pair_counts(g: Graph, p: Partition) -> dict[tuple[int, int], int]:
         for i in range(p.t)
         for j in range(i + 1, p.t)
     }
-
-
-def _mean_square_density(g: Graph, p: Partition) -> float:
-    if p.t < 2:
-        return 0.0
-    total = 0.0
-    for e in _pair_counts(g, p).values():  # plain left-to-right sum: its rounding picks the draw
-        total += (e / (p.m * p.m)) ** 2
-    return total / (p.t * (p.t - 1) / 2)
 
 
 def is_eps_regular(
@@ -247,10 +281,15 @@ def _heuristic_check(g: Graph, a_list: list[int], b_list: list[int], eps: Fracti
 
 def build_cluster_graph(g: Graph, p: Partition, d: Threshold) -> ClusterGraph:
     """Cluster graph with an edge exactly when the pair density is >= d."""
-    p.validate(g)
+    p.validate(range(g.n))
+    return _dense_pairs(p, _pair_counts(g, p), d)
+
+
+def _dense_pairs(p: Partition, counts: PairCounts, d: Threshold) -> ClusterGraph:
+    """`build_cluster_graph` from the pair counts of `p`."""
     dfrac = Fraction(d)
     edges: dict[tuple[int, int], Fraction] = {}
-    for pair, e in _pair_counts(g, p).items():
+    for pair, e in counts.items():
         dij = Fraction(e, p.m * p.m)
         if dij >= dfrac:
             edges[pair] = dij
