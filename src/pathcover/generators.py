@@ -43,10 +43,27 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
+        """ValueError unless the family has a graph with these n and k."""
+        n, k = self.n, self.k
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.n <= 0 or self.k < 0:
+        if n <= 0 or k < 0:
             raise ValueError("need n > 0 and k >= 0")
+        if self.family == "random-regular":
+            if k >= n:
+                raise ValueError(f"need k < n, got k={k}, n={n}")
+            if (n * k) % 2 != 0:
+                raise ValueError(f"n*k must be even, got n={n}, k={k}")
+        elif self.family == "random-bipartite-regular":
+            if n % 2 != 0:
+                raise ValueError(f"n must be even, got {n}")
+            if k > n // 2:
+                raise ValueError(f"need k <= n/2, got k={k}, n={n}")
+        elif self.family == "disjoint-cliques":
+            if n < k + 1:
+                raise ValueError(f"need n >= k+1, got n={n}, k={k}")
+        elif k == 0 or n % (2 * k) != 0:
+            raise ValueError(f"disjoint-bicliques needs 2k | n, got n={n}, k={k}")
 
 
 def degree_from_ratio(n: int, c: float) -> int:
@@ -118,10 +135,6 @@ def _repairable(stubs: np.ndarray, present: np.ndarray, n: int) -> bool:
 def random_regular(spec: GenSpec) -> Graph:
     """Simple k-regular graph on n vertices, deterministic given the seed."""
     n, k = spec.n, spec.k
-    if k >= n:
-        raise ValueError(f"need k < n, got k={k}, n={n}")
-    if (n * k) % 2 != 0:
-        raise ValueError(f"n*k must be even, got n={n}, k={k}")
     if k > (n - 1) // 2:
         # n(n-1-k) keeps the parity of nk, so the flipped spec is valid
         flipped = GenSpec(n, n - 1 - k, "random-regular", spec.seed)
@@ -144,11 +157,7 @@ def random_bipartite_regular(spec: GenSpec) -> Graph:
     matching is repaired by random transpositions rather than redrawn whole.
     """
     n, k = spec.n, spec.k
-    if n % 2 != 0:
-        raise ValueError(f"n must be even, got {n}")
     side = n // 2
-    if k > side:
-        raise ValueError(f"need k <= n/2, got k={k}, n={n}")
     if k > side // 2:
         flipped = GenSpec(n, side - k, "random-bipartite-regular", spec.seed)
         return complement(random_bipartite_regular(flipped))
@@ -204,16 +213,12 @@ def extremal_family(spec: GenSpec) -> Graph:
     """
     n, k = spec.n, spec.k
     if spec.family == "disjoint-cliques":
-        if n < k + 1:
-            raise ValueError(f"need n >= k+1, got n={n}, k={k}")
         # v lies in block v // (k+1); the last block takes the n % (k+1) leftovers
         label = np.minimum(np.arange(n) // (k + 1), n // (k + 1) - 1)
         a = label[:, None] == label[None, :]
         np.fill_diagonal(a, False)
         return Graph._from_matrix(a)
     if spec.family == "disjoint-bicliques":
-        if k == 0 or n % (2 * k) != 0:
-            raise ValueError(f"disjoint-bicliques needs 2k | n, got n={n}, k={k}")
         half = n // 2
         label = (np.arange(n) % half) // k
         in_x = np.arange(n) < half

@@ -1,4 +1,7 @@
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -260,6 +263,9 @@ def test_config_file_accepts_integral_t(tmp_path, capsys):
         (["--c", "0.5", "--n", "40", "--alpha", "2"], "alpha must be in (0, 1]"),
         (["--c", "0.5", "--n", "40,0"], "need n > 0"),
         (["--c", "1.5", "--n", "40"], "c must be in (0, 1]"),
+        # k = ceil(0.5 * 41) = 21 makes n*k odd; the bipartite family needs even n
+        (["--c", "0.5", "--n", "41"], "n*k must be even"),
+        (["--c", "0.3", "--n", "41", "--bipartite"], "n must be even"),
     ],
 )
 def test_bench_parameter_error_exits_2_before_any_trial(capsys, flags, fragment):
@@ -267,3 +273,14 @@ def test_bench_parameter_error_exits_2_before_any_trial(capsys, flags, fragment)
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and fragment in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pathcover", "bench", "--c", "0.3", "--n", "40", "--seeds", "0", "--timing", "none"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(CSV_HEADER)
