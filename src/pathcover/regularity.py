@@ -4,7 +4,10 @@ super-regular cleaning.
 There is no attempt to certify the partition the way the tower-type
 existence argument would; instead partitions are drawn at random (best of
 several draws by mean-square density) and every pair the pipeline relies on
-is verified per instance.
+is verified per instance. A partition may cover a working subset of the
+vertices, read in place. One chunked matrix product of that subset's
+adjacency with the one-hot labels of all draws scores them together, and
+the chosen draw's pair counts come out of the same product.
 
 Regularity verdicts come in two modes:
 

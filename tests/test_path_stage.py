@@ -1,10 +1,14 @@
 """Property tests of the whole path stage on small regular graphs: both random
-families and unions of cliques or bicliques, with n <= 40."""
+families, unions of cliques or bicliques, and clique unions perturbed by a
+few edge switches, with n <= 40."""
+
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathcover.generators import FAMILIES, GenSpec, degree_from_ratio, generate
+from pathcover.graph import Graph
 from pathcover.oracle import min_path_cover_exact
 from pathcover.pipeline import (
     PipelineConfig,
@@ -19,11 +23,24 @@ from pathcover.pipeline import (
 ORACLE_MAX_N = 14  # the exact path cover takes about 0.1 s here and 3 s at n=18
 
 
+def switched(g, switches, rng):
+    """g after up to `switches` random edge switches: edges ab, cd become ac,
+    bd when those are non-edges. Every degree is kept."""
+    edges = set(g.edges)
+    for _ in range(switches):
+        (a, b), (c, d) = rng.sample(sorted(edges), 2)
+        ac, bd = (min(a, c), max(a, c)), (min(b, d), max(b, d))
+        if len({a, b, c, d}) == 4 and ac not in edges and bd not in edges:
+            edges -= {(a, b), (c, d)}
+            edges |= {ac, bd}
+    return Graph(g.n, sorted(edges))
+
+
 @st.composite
 def regular_inputs(draw):
     """(graph, config) for a k-regular graph with n <= 40 and the largest
     9-decimal c with ceil(c*n) = k."""
-    family = draw(st.sampled_from(FAMILIES))
+    family = draw(st.sampled_from(FAMILIES + ("switched-cliques",)))
     if family == "random-regular":
         n = draw(st.integers(4, 40))
         # n*k must be even
@@ -34,6 +51,9 @@ def regular_inputs(draw):
     elif family == "disjoint-cliques":
         k = draw(st.integers(1, 19))
         n = (k + 1) * draw(st.integers(1, 40 // (k + 1)))
+    elif family == "switched-cliques":
+        k = draw(st.integers(1, 12))
+        n = (k + 1) * draw(st.integers(2, 40 // (k + 1)))
     else:
         k = draw(st.integers(1, 10))
         n = 2 * k * draw(st.integers(1, 20 // k))
@@ -41,7 +61,11 @@ def regular_inputs(draw):
     c = (k * 10**9 // n) / 10**9
     assert degree_from_ratio(n, c) == k
     gamma = draw(st.sampled_from([None, 0.25]))
-    return generate(GenSpec(n, k, family, seed)), PipelineConfig.derive(c, 0.1, gamma=gamma, seed=seed)
+    cfg = PipelineConfig.derive(c, 0.1, gamma=gamma, seed=seed)
+    if family == "switched-cliques":
+        g = generate(GenSpec(n, k, "disjoint-cliques", seed))
+        return switched(g, draw(st.integers(1, 4)), random.Random(seed)), cfg
+    return generate(GenSpec(n, k, family, seed)), cfg
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -15,9 +15,9 @@ from pathcover.generators import (
     random_bipartite_regular,
     random_regular,
 )
-from pathcover.graph import Graph
-from pathcover.hamilton import Path
-from pathcover.regularity import is_eps_regular
+from pathcover.graph import Graph, induced_subgraph
+from pathcover.hamilton import Cycle, Path
+from pathcover.regularity import Partition, is_eps_regular
 from pathcover.pipeline import (
     CycleSet,
     DegenerateParameterError,
@@ -27,6 +27,7 @@ from pathcover.pipeline import (
     RunReport,
     _absorb,
     _concat_paths,
+    _cycle_stage,
     _reservoir_relaxed,
     _single_vertex_verdict,
     chernoff_lower,
@@ -435,6 +436,39 @@ def test_cycle_cover_random_sweep_covers_most():
         chk = verify_cover(g, cycset, max_count=max(rep.t, 4), max_uncovered=60)
         ok += chk.ok
     assert ok >= 11
+
+
+@pytest.mark.parametrize(
+    "family, n, c, seed",
+    [
+        ("random-regular", 150, 0.4, 8),
+        ("random-bipartite-regular", 120, 0.3, 3),
+        ("disjoint-cliques", 240, 239 / 240, 2),  # one K240 block: the regularity route
+    ],
+)
+def test_cycle_stage_on_a_working_set_matches_the_relabelled_copy(family, n, c, seed):
+    g = generate(GenSpec(n, degree_from_ratio(n, c), family, seed))
+    rng = random.Random(seed)
+    rest = sorted(v for v in range(n) if rng.random() > 0.05)
+    cfg = PipelineConfig.derive(c, 0.1, seed=seed)
+    cycset, rep = _cycle_stage(g, rest, cfg, strict_window=False)
+    sub, mapping = induced_subgraph(g, rest)
+    ref, ref_rep = cycle_cover(sub, cfg, strict_window=False)
+    assert cycset.cycles == [Cycle(tuple(mapping[v] for v in cy.vertices)) for cy in ref.cycles]
+    assert cycset.uncovered == frozenset(mapping[v] for v in ref.uncovered)
+    assert rep.to_kv_text() == ref_rep.to_kv_text()
+    if family == "disjoint-cliques":
+        assert rep.method == "regularity-pipeline"
+
+
+def test_partition_validate_checks_the_working_set():
+    rest = [1, 3, 4, 6, 8, 9]
+    good = Partition(frozenset({9}), (frozenset({1, 3}), frozenset({4, 6})), 2)
+    with pytest.raises(ValueError, match="split the vertex set"):
+        good.validate(rest)  # misses working vertex 8
+    Partition(frozenset({8, 9}), good.clusters, 2).validate(rest)
+    with pytest.raises(ValueError, match="split the vertex set"):
+        Partition(frozenset({8, 9}), (frozenset({1, 3}), frozenset({4, 5})), 2).validate(rest)
 
 
 # ------------------------------------------------------------------ path cover

@@ -1,16 +1,21 @@
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pathcover import regularity
 from pathcover._bits import mask_of, mix64
 from pathcover.graph import Graph, density, induced_subgraph
 from pathcover.regularity import (
     REFINE,
+    ROW_CHUNK,
     CleaningFailed,
     Partition,
+    _pair_counts,
+    _partition_with_counts,
     build_cluster_graph,
     clean_super_regular,
     equitable_partition,
@@ -141,6 +146,43 @@ def partition_inputs(draw):
 def test_partition_matches_reference_loop(case):
     g, t, seed = case
     assert equitable_partition(g, t, seed=seed) == reference_partition(g, t, seed)
+
+
+@st.composite
+def working_set_inputs(draw):
+    """(graph, sorted working set, t, seed, row chunk): the working set is a
+    random subset of at least two vertices, and the chunk is often smaller
+    than the set and not a divisor of its size."""
+    g, _, seed = draw(partition_inputs())
+    keep = draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+    rest = [v for v in range(g.n) if keep[v]]
+    assume(len(rest) >= 2)
+    t = draw(st.integers(1, min(8, len(rest) // 2)))
+    return g, rest, t, seed, draw(st.sampled_from([1, 7, 16, 64, ROW_CHUNK]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(working_set_inputs())
+def test_working_set_partition_matches_reference_loop(case):
+    g, rest, t, seed, chunk = case
+    with patch.object(regularity, "ROW_CHUNK", chunk):
+        part, counts = _partition_with_counts(g, rest, t, seed)
+    assert part == reference_partition(g, t, seed, within=rest)
+    part.validate(rest)
+    assert counts == _pair_counts(g, part)
+
+
+def test_working_set_partition_with_exceptional_vertices_and_partial_chunk():
+    # 300 working vertices: one full chunk of 256 rows and a partial one;
+    # t = 7 gives m = 42 and leaves 6 vertices in V_0
+    rng = random.Random(11)
+    edges = [(u, v) for u in range(320) for v in range(u + 1, 320) if rng.random() < 0.4]
+    g = Graph(320, edges)
+    rest = sorted(rng.sample(range(320), 300))
+    part, counts = _partition_with_counts(g, rest, 7, seed=5)
+    assert part.m == 42 and len(part.exceptional) == 6
+    assert part == reference_partition(g, 7, 5, within=rest)
+    assert counts == _pair_counts(g, part)
 
 
 def test_partition_edgeless_graph_keeps_the_first_draw():
