@@ -722,10 +722,6 @@ def _reservoir_relaxed(g: Graph, cfg: PipelineConfig, eps0: float, rep: RunRepor
     return frozenset()
 
 
-def _cycles_to_paths(cycset: CycleSet) -> list[Path]:
-    return [cycle_to_path(c) for c in cycset.cycles]
-
-
 def _finalize(
     g: Graph,
     paths: list[Path],
@@ -802,7 +798,7 @@ def _path_stage(
     rep = replace(
         crep, n=n, notes=rep.notes + crep.notes, reservoir_size=len(r), reservoir_vertices=r
     )
-    paths = _cycles_to_paths(cycset)
+    paths = [cycle_to_path(c) for c in cycset.cycles]
     if not paths:
         paths = _strip(g, longest_path, rest, (mix64(cfg.seed, 2), 0x57A1), 3 * (limit + 1))
         rep.method = "greedy-fallback"
