@@ -27,7 +27,7 @@ from pathcover.hamilton import (
     longest_path,
     spanning_cycle_bipartite,
 )
-from pathcover.pipeline import PipelineConfig, path_cover, path_cover_bipartite
+from pathcover.pipeline import PipelineConfig, RunReport, _reservoir_relaxed, path_cover, path_cover_bipartite
 from pathcover.regularity import equitable_partition, is_eps_regular
 
 GOLDEN = FsPath(__file__).parent / "golden"
@@ -292,6 +292,46 @@ def _rotation_search_lines() -> list[str]:
 def test_rotation_search_matches_golden():
     golden = (GOLDEN / "rotation_search.txt").read_text().splitlines()
     assert _rotation_search_lines() == [line for line in golden if not line.startswith("#")]
+
+
+# the path stage's reservoir at benchmark scale; K1200 is the structured
+# workload's clique, whose c is 1199/1200 rounded down to 9 decimals
+RESERVOIR_CASES = (
+    [
+        ("random-regular", n, c, seed)
+        for n in (600, 1200)
+        for c in (0.3, 0.45, 0.6)
+        for seed in (0, 1)
+    ]
+    + [("random-bipartite-regular", 600, c, seed) for c in (0.3, 0.45) for seed in (0, 1)]
+    + [("K1200", 1200, 0.999166666, 0)]
+)
+
+
+def _reservoir_relaxed_lines() -> list[str]:
+    """The sorted reservoir `_reservoir_relaxed` returns, by sha256, and its
+    note. The path stage calls it with eps0 = cfg.eps on every one of these
+    inputs, since their theorem caps on eps are larger."""
+    lines = []
+    for family, n, c, seed in RESERVOIR_CASES:
+        if family == "K1200":
+            g = extremal_family(GenSpec(n, n - 1, "disjoint-cliques"))
+        else:
+            g = generate(GenSpec(n, degree_from_ratio(n, c), family, seed))
+        cfg = PipelineConfig.derive(c, 0.1, seed=seed)
+        rep = RunReport(n=n)
+        r = _reservoir_relaxed(g, cfg, cfg.eps, rep)
+        digest = hashlib.sha256(",".join(map(str, sorted(r))).encode()).hexdigest()
+        lines.append(
+            f"{family} n={n} c={c} seed={seed} size={len(r)} sha256={digest} "
+            f"notes={'; '.join(rep.notes) or '-'}"
+        )
+    return lines
+
+
+def test_reservoir_relaxed_matches_golden():
+    golden = (GOLDEN / "reservoir_relaxed.txt").read_text().splitlines()
+    assert _reservoir_relaxed_lines() == [line for line in golden if not line.startswith("#")]
 
 
 def test_identity_digest_matches_golden(capsys):
