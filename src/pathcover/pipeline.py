@@ -25,6 +25,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
+import numpy as np
+
 from ._bits import bits, mask_of, mix64
 from .generators import degree_from_ratio
 from .graph import Graph
@@ -262,15 +264,19 @@ def reservoir(
 
 
 def _reservoir_draws(n: int, gamma: float, seed: int) -> Iterator[tuple[int, int]]:
-    """The reservoir's candidate sets as (rmask, size), in draw order."""
+    """The reservoir's candidate sets as (rmask, size), in draw order: vertex v
+    joins when its `rng.random()` is below gamma. A candidate reads its n
+    values from one `getrandbits(64 * n)`, which takes the same 32-bit words,
+    first word lowest; random() is ((a >> 5) * 2**26 + (b >> 6)) / 2**53 over
+    consecutive words a, b, so it is below gamma iff that integer is below
+    ceil(gamma * 2**53)."""
     rng = random.Random(mix64(seed, 0x6E5E6))
+    cut = np.uint64(math.ceil(gamma * 2**53))
     for _ in range(RESERVOIR_ATTEMPTS):
-        rmask = size = 0
-        for v in range(n):
-            if rng.random() < gamma:
-                rmask |= 1 << v
-                size += 1
-        yield rmask, size
+        ab = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), "<u8")
+        picked = ((ab & 0xFFFFFFFF) >> 5 << 26 | ab >> 38) < cut
+        rmask = int.from_bytes(np.packbits(picked, bitorder="little").tobytes(), "little")
+        yield rmask, rmask.bit_count()
 
 
 def _reservoir_level(
@@ -280,28 +286,33 @@ def _reservoir_level(
     n = g.n
     if not 0 < gamma <= 1:
         raise DegenerateParameterError(f"gamma={gamma} must be in (0, 1]")
-    if eps <= 0:
-        raise DegenerateParameterError(f"eps={eps} must be positive")
+    if not 0 < eps < math.inf:
+        raise DegenerateParameterError(f"eps={eps} must be positive and finite")
     ga, ep = _dec(gamma), _dec(eps)
     size_lo, size_hi = (1 - ep) * ga * n, (1 + ep) * ga * n
     deg_lo, deg_hi = (1 - ep) * ga * k, (1 + ep) * ga * k
-    if math.floor(size_lo) + 1 >= size_hi:
+    size_floor, size_ceil = _int_window(size_lo, size_hi)
+    deg_floor, deg_ceil = _int_window(deg_lo, deg_hi)
+    if size_ceil - size_floor <= 1:
         raise DegenerateParameterError(
             f"no integer size in ({float(size_lo):.3f}, {float(size_hi):.3f})"
         )
-    if math.floor(deg_lo) + 1 >= deg_hi:
+    if deg_ceil - deg_floor <= 1:
         raise DegenerateParameterError(
             f"no integer degree in ({float(deg_lo):.3f}, {float(deg_hi):.3f})"
         )
     for rmask, size in draws:
-        if not size_lo < size < size_hi:
+        if not size_floor < size < size_ceil:
             continue
-        if all(
-            deg_lo < (g.adjacency_mask(v) & rmask).bit_count() < deg_hi
-            for v in range(n)
-        ):
+        if all(deg_floor < (g.adjacency_mask(v) & rmask).bit_count() < deg_ceil for v in range(n)):
             return frozenset(bits(rmask))
     raise ReservoirError(f"no valid reservoir in {RESERVOIR_ATTEMPTS} attempts")
+
+
+def _int_window(lo: Fraction, hi: Fraction) -> tuple[int, int]:
+    """(floor(lo), ceil(hi)): an integer x lies in the open window (lo, hi) iff
+    floor(lo) < x < ceil(hi), and no integer does iff ceil(hi) - floor(lo) <= 1."""
+    return math.floor(lo), math.ceil(hi)
 
 
 def chernoff_upper(nprime: int, zeta: float, x: float) -> float:
@@ -321,7 +332,7 @@ def _chernoff_domain(nprime: int, zeta: float, x: float) -> None:
         raise ValueError("n' must be at least 1")
     if not 0 < zeta < 1:
         raise ValueError("zeta must be in (0, 1)")
-    if x <= 0:
+    if not x > 0:
         raise ValueError("x must be positive")
 
 
@@ -371,7 +382,7 @@ def _cycle_stage(
     rep = RunReport(n=n)
     eps = cfg.eps
     cn = _dec(cfg.c) * n
-    lo, hi = (1 - _dec(eps)) * cn, (1 + _dec(eps)) * cn
+    lo, hi = _int_window((1 - _dec(eps)) * cn, (1 + _dec(eps)) * cn)
     rmask = mask_of(rest)
     violations = sum(1 for v in rest if not lo < (g.adjacency_mask(v) & rmask).bit_count() < hi)
     if violations:

@@ -24,6 +24,7 @@ exactly d) are deterministic.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -322,13 +323,13 @@ def clean_super_regular(
     epsf, dfrac = Fraction(eps), Fraction(d)
     if dfrac <= 3 * epsf:
         raise ValueError("need d > 3*eps")
-    lo = (dfrac - epsf) * nb
+    low_cut = math.ceil((dfrac - epsf) * nb)  # deg < (d - eps)|b| iff deg < ceil of it
     r = -((-epsf.numerator * na) // epsf.denominator)  # ceil(eps * |a|)
     n_low: list[int] = []  # low-degree vertices per side
     kept: list[VertexSet] = []
     for side, other in ((am, bm), (bm, am)):
         vs = sorted(bits(side))
-        drop = {v for v in vs if (g.adjacency_mask(v) & other).bit_count() < lo}
+        drop = {v for v in vs if (g.adjacency_mask(v) & other).bit_count() < low_cut}
         n_low.append(len(drop))
         for v in vs:
             if len(drop) >= r:
@@ -342,7 +343,7 @@ def clean_super_regular(
             f"{n_low[0]}/{n_low[1]} low-degree vertices exceed eps*|side| = {float(epsf) * na:.2f}"
         )
     x, y = kept
-    floor_deg = (dfrac - 3 * epsf) * len(y)
+    floor_deg = math.floor((dfrac - 3 * epsf) * len(y))
     for side, other in ((x, y), (y, x)):
         om = mask_of(other)
         for v in sorted(side):

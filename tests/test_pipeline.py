@@ -28,6 +28,9 @@ from pathcover.pipeline import (
     _absorb,
     _concat_paths,
     _cycle_stage,
+    RESERVOIR_ATTEMPTS,
+    _int_window,
+    _reservoir_draws,
     _reservoir_relaxed,
     _single_vertex_verdict,
     chernoff_lower,
@@ -92,7 +95,7 @@ def test_chernoff_formulas_exact():
 
 
 def test_chernoff_domain():
-    for bad in [(0, 0.5, 1), (5, 0.0, 1), (5, 1.0, 1), (5, 0.5, 0)]:
+    for bad in [(0, 0.5, 1), (5, 0.0, 1), (5, 1.0, 1), (5, 0.5, 0), (10, 0.5, math.nan)]:
         with pytest.raises(ValueError):
             chernoff_upper(*bad)
         with pytest.raises(ValueError):
@@ -111,6 +114,12 @@ def test_reservoir_tiny_window_degenerate():
     # gamma*n = 3 with a hairline window around it: no integer inside
     with pytest.raises(DegenerateParameterError):
         reservoir(complete(30), gamma=0.1, eps=1e-9)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf])
+def test_reservoir_non_finite_eps_degenerate(eps):
+    with pytest.raises(DegenerateParameterError, match="positive and finite"):
+        reservoir(complete(20), gamma=0.2, eps=eps)
 
 
 def test_reservoir_eps_one_succeeds():
@@ -139,6 +148,67 @@ def test_reservoir_deterministic():
 def test_reservoir_requires_regular():
     with pytest.raises(ValueError):
         reservoir(Graph(3, [(0, 1)]), 0.2, 0.5)
+
+
+def _draws_reference(n, gamma, rng):
+    """The candidate sets by their definition: one rng.random() per vertex."""
+    for _ in range(RESERVOIR_ATTEMPTS):
+        rmask = size = 0
+        for v in range(n):
+            if rng.random() < gamma:
+                rmask |= 1 << v
+                size += 1
+        yield rmask, size
+
+
+@pytest.mark.parametrize("n", [0, 1, 31, 32, 33, 600, 2400])
+@pytest.mark.parametrize("gamma", [0.025, 0.25, 0.5, 1.0])
+def test_reservoir_draws_match_reference_loop(n, gamma, monkeypatch):
+    made = []
+
+    class Recorded(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    for seed in (0, 1, 7):
+        twin = random.Random(mix64(seed, 0x6E5E6))
+        with monkeypatch.context() as m:
+            m.setattr(random, "Random", Recorded)
+            draws = list(_reservoir_draws(n, gamma, seed))
+        assert draws == list(_draws_reference(n, gamma, twin))
+        # the bulk draws consumed exactly the words of the reference loop
+        assert made.pop().random() == twin.random()
+
+
+def test_reservoir_draws_exact_at_gamma():
+    # gamma equal to a drawn value leaves that vertex out, one ulp above it
+    # takes it in: the integer test must match random() < gamma to the last bit
+    first = random.Random(mix64(3, 0x6E5E6))
+    for x in [first.random() for _ in range(8)]:
+        for gamma in (x, math.nextafter(x, 1)):
+            twin = random.Random(mix64(3, 0x6E5E6))
+            assert list(_reservoir_draws(64, gamma, 3)) == list(_draws_reference(64, gamma, twin))
+
+
+_fraction = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lo=st.one_of(_fraction, st.integers(-50, 50).map(Fraction)),
+    width=st.one_of(
+        st.fractions(min_value=Fraction(1, 12), max_value=4, max_denominator=12),
+        st.integers(1, 4).map(Fraction),
+    ),
+    offset=st.integers(-3, 3),
+)
+def test_int_window_agrees_with_fraction_window(lo, width, offset):
+    hi = lo + width
+    floor_lo, ceil_hi = _int_window(lo, hi)
+    for x in (math.floor(lo) + offset, math.ceil(hi) + offset):
+        assert (lo < x < hi) == (floor_lo < x < ceil_hi)
+    assert (ceil_hi - floor_lo <= 1) == (math.floor(lo) + 1 >= hi)
 
 
 def _reservoir_reference(g, cfg, eps0):
