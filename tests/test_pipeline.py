@@ -23,12 +23,12 @@ from pathcover.pipeline import (
     DegenerateParameterError,
     PathCover,
     PipelineConfig,
+    RESERVOIR_ATTEMPTS,
     ReservoirError,
     RunReport,
     _absorb,
     _concat_paths,
     _cycle_stage,
-    RESERVOIR_ATTEMPTS,
     _int_window,
     _reservoir_draws,
     _reservoir_relaxed,
