@@ -291,10 +291,10 @@ def cmd_bench(args) -> int:
     ns = _parse_list(args.n, int)
     seeds = _parse_seed_range(args.seeds)
     family = "random-bipartite-regular" if args.bipartite else "random-regular"
-    for c, n in itertools.product(cs, ns):
+    for c, n, s in itertools.product(cs, ns, (seeds[0], seeds[-1])):
         # a parameter error exits 2 here instead of failing every trial of its cell
-        PipelineConfig.derive(c, args.alpha)
-        GenSpec(n, degree_from_ratio(n, c), family)
+        PipelineConfig.derive(c, args.alpha, seed=s)
+        GenSpec(n, degree_from_ratio(n, c), family, s)
     # the per-trial seed and the sweep cell pin the whole trial; generators
     # mix (seed, n, k) internally so cells sharing a seed stay independent
     trials = [
@@ -413,8 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("generate", help="write a graph in edge-list format")
     p_gen.add_argument("--family", choices=FAMILIES, required=True)
     p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--k", type=int)
-    p_gen.add_argument("--c", type=float)
+    k_or_c = p_gen.add_mutually_exclusive_group()
+    k_or_c.add_argument("--k", type=int)
+    k_or_c.add_argument("--c", type=float)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("-o", "--output")
     p_gen.set_defaults(func=cmd_generate)

@@ -49,6 +49,8 @@ class GenSpec:
             raise ValueError(f"unknown family {self.family!r}")
         if n <= 0 or k < 0:
             raise ValueError("need n > 0 and k >= 0")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.family == "random-regular":
             if k >= n:
                 raise ValueError(f"need k < n, got k={k}, n={n}")

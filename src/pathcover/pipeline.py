@@ -110,6 +110,8 @@ class PipelineConfig:
             raise ValueError("need 0 < eps <= d/6")
         if self.gamma > 0.25 + tol:
             raise ValueError("gamma must be at most 1/4")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
     @property
     def delta(self) -> float:

@@ -44,6 +44,23 @@ def test_generate_parity_error_is_param_error(capsys):
 def test_generate_needs_k_or_c(capsys):
     code, _, err = run(capsys, "generate", "--family", "random-regular", "--n", "6")
     assert code == 2
+    assert "provide --k or --c" in err
+
+
+def test_generate_rejects_both_k_and_c(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--family", "random-regular", "--n", "10", "--k", "3", "--c", "0.9"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_generate_rejects_seed_outside_64_bits(capsys, seed):
+    # 2**64 - 1 and -1 would otherwise print the same graph
+    code, out, err = run(capsys, "generate", "--family", "random-regular", "--n", "6", "--k", "2", "--seed", seed)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "seed must be in [0, 2**64)" in err
 
 
 def test_cover_and_verify_flow(tmp_path, capsys):
@@ -148,6 +165,14 @@ def test_bench_rejects_descending_seed_range(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "3..1" in err
+
+
+@pytest.mark.parametrize("seeds", ["-2..-1", "-1..0", f"{2**64 - 1}..{2**64}"])
+def test_bench_rejects_seed_range_outside_64_bits(capsys, seeds):
+    code, out, err = run(capsys, "bench", "--c", "0.5", "--n", "40", f"--seeds={seeds}", "--threads", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "seed must be in [0, 2**64)" in err
 
 
 def test_bench_success_consistent_with_verify(tmp_path, capsys):

@@ -148,6 +148,15 @@ def test_random_regular_always_audits(n, k, seed):
     assert all(d == k for d in g.degrees())
 
 
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_64_bits_rejected(seed):
+    # mix64 reduces its parts mod 2**64, so such a seed would alias another
+    with pytest.raises(ValueError, match="seed must be in"):
+        GenSpec(8, 3, "random-regular", seed)
+    assert GenSpec(8, 3, "random-regular", 2**64 - 1).seed == 2**64 - 1
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 12), st.integers(1, 6), st.integers(0, 10**6))
 def test_random_bipartite_always_audits(half, k, seed):

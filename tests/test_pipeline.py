@@ -71,6 +71,13 @@ def test_config_invariants_enforced():
         PipelineConfig.derive(0.0, 0.1)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_config_rejects_seed_outside_64_bits(seed):
+    with pytest.raises(ValueError, match="seed must be in"):
+        PipelineConfig.derive(0.3, 0.1, seed=seed)
+    assert PipelineConfig.derive(0.3, 0.1, seed=2**64 - 1).seed == 2**64 - 1
+
+
 def test_with_alpha_rederives():
     cfg = PipelineConfig.derive(0.3, 0.1)
     half = cfg.with_alpha(0.05)
