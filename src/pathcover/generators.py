@@ -1,14 +1,15 @@
 """Seedable graph generators: random regular, random bipartite regular, and
 the tight families (disjoint cliques / disjoint bicliques).
 
-Random regular graphs come from the stub-pairing model. Colliding stubs
-(loops, repeated pairs) are re-shuffled and re-paired instead of restarting
-the whole attempt; a full restart happens only when the leftover stubs can
-no longer be paired. A pair repeated within a round keeps its first
-occurrence: one sort of key * m + index (m pairs in the round) breaks ties
-by index, as a stable sort would. Degrees above half the available range are
-generated as the complement, which keeps the pairing density low. Every
-family builds one boolean adjacency matrix; all are deterministic per seed.
+Random regular graphs come from the stub-pairing model with switchings, so
+they are not uniform. Colliding stubs (loops, repeated pairs; a repeat keeps
+its first occurrence in the round) are re-shuffled and re-paired. Once the
+leftover stubs cannot form a fresh edge, or after 200 rounds, each leftover
+pair xy is switched in (McKay & Wormald 1990): a drawn edge ab becomes ax,
+by, keeping every degree. Only a failed switch restarts; graphs that needed
+no switch match older releases. Degrees above half the range are generated
+as the complement, which keeps the pairing density low. Every family builds
+one boolean adjacency matrix; all are deterministic per seed.
 """
 
 from __future__ import annotations
@@ -99,12 +100,36 @@ def _pairing_edges(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
         present[keys[ok]] = True
         bad = ~ok
         if not bad.any():
-            upper = present.reshape(n, n)
-            return upper | upper.T
+            break
         stubs = np.concatenate([u[bad], v[bad]])
         if not _repairable(stubs, present, n):
             break
-    raise _PairingStuck
+    _switch_in(u[bad], v[bad], present, n, rng)
+    upper = present.reshape(n, n)
+    return upper | upper.T
+
+
+def _switch_in(xs: np.ndarray, ys: np.ndarray, present: np.ndarray, n: int, rng: np.random.Generator) -> None:
+    """Add each leftover pair xy, or switch a drawn edge ab to ax, by; raises _PairingStuck."""
+    for x, y in zip(xs.tolist(), ys.tolist()):
+        xy = min(x, y) * n + max(x, y)
+        if x != y and not present[xy]:
+            present[xy] = True
+            continue
+        edges = np.flatnonzero(present)
+        if edges.size == 0:
+            raise _PairingStuck
+        r = rng.integers(2 * edges.size, size=1000)  # an edge and its orientation per draw
+        e = edges[r // 2]
+        a = np.where(r % 2 == 1, e % n, e // n)
+        b = e // n + e % n - a
+        ax, by = np.minimum(a, x) * n + np.maximum(a, x), np.minimum(b, y) * n + np.maximum(b, y)
+        ok = (a != x) & (a != y) & (b != x) & (b != y) & ~present[ax] & ~present[by]
+        if not ok.any():
+            raise _PairingStuck
+        i = int(ok.argmax())
+        present[e[i]] = False
+        present[ax[i]] = present[by[i]] = True
 
 
 def _first_occurrences(keys: np.ndarray) -> np.ndarray:

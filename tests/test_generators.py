@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathcover import generators
 from pathcover.generators import (
     GenSpec,
     _first_occurrences,
+    _PairingStuck,
     _repairable,
+    _switch_in,
     degree_from_ratio,
     extremal_family,
     generate,
@@ -139,14 +142,14 @@ def test_bipartite_determinism_per_seed():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(4, 24), st.integers(1, 8), st.integers(0, 10**6))
+@given(st.integers(4, 40), st.integers(1, 20), st.integers(0, 10**6))
 def test_random_regular_always_audits(n, k, seed):
     if k >= n or (n * k) % 2:
         return
     g = random_regular(GenSpec(n, k, "random-regular", seed=seed))
     assert g.n == n
     assert all(d == k for d in g.degrees())
-
+    assert random_regular(GenSpec(n, k, "random-regular", seed=seed)) == g
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -155,6 +158,64 @@ def test_seed_outside_64_bits_rejected(seed):
     with pytest.raises(ValueError, match="seed must be in"):
         GenSpec(8, 3, "random-regular", seed)
     assert GenSpec(8, 3, "random-regular", 2**64 - 1).seed == 2**64 - 1
+
+
+def _stuck_on_one_vertex(n: int, k: int, seed: int) -> tuple[np.ndarray, int]:
+    """A k-regular pairing with edges xa, xb replaced by ab: x keeps two stubs."""
+    g = random_regular(GenSpec(n, k, "random-regular", seed=seed))
+    x = 0
+    a, b = next((a, b) for a in g.neighbors(x) for b in g.neighbors(x) if a < b and not g.adjacent(a, b))
+    present = np.zeros(n * n, dtype=bool)
+    for u, v in g.edges:
+        present[u * n + v] = True
+    present[[x * n + a, x * n + b]] = False
+    present[a * n + b] = True
+    return present, x
+
+
+def test_switch_places_two_stubs_of_one_vertex():
+    n, k = 30, 6
+    results = []
+    for _ in range(2):
+        present, x = _stuck_on_one_vertex(n, k, seed=4)
+        _switch_in(np.array([x]), np.array([x]), present, n, np.random.default_rng(7))
+        upper = present.reshape(n, n)
+        g = Graph._from_matrix(upper | upper.T)  # audits: symmetric, no loops
+        assert all(d == k for d in g.degrees())
+        results.append(present.tobytes())
+    assert results[0] == results[1]
+
+
+def test_switch_moves_a_present_pair_and_then_adds_it():
+    # K5 less 01 and 02: the pairs (0, 0) and (1, 2) are left, and 12 exists.
+    # The only switch turns 12 into 01, 02; then 12 is fresh again
+    n = 5
+    present = np.zeros(n * n, dtype=bool)
+    for u, v in [(0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]:
+        present[u * n + v] = True
+    _switch_in(np.array([0, 1]), np.array([0, 2]), present, n, np.random.default_rng(0))
+    assert np.array_equal(present.reshape(n, n), np.triu(np.ones((n, n), dtype=bool), 1))
+
+
+def test_switch_without_a_candidate_restarts():
+    # vertex 0 holds two stubs and already neighbours every other vertex
+    n = 4
+    present = np.triu(np.ones((n, n), dtype=bool), 1).ravel()
+    with pytest.raises(_PairingStuck):
+        _switch_in(np.array([0]), np.array([0]), present, n, np.random.default_rng(0))
+    with pytest.raises(_PairingStuck):  # no edge to switch at all
+        _switch_in(np.array([1]), np.array([1]), np.zeros(n * n, dtype=bool), n, np.random.default_rng(0))
+
+
+def test_benchmark_scale_pairs_in_one_attempt(monkeypatch):
+    # before switchings these 24 graphs took 89 pairing attempts
+    calls = []
+    pairing = generators._pairing_edges
+    monkeypatch.setattr(generators, "_pairing_edges", lambda *a: calls.append(a) or pairing(*a))
+    for c in (0.3, 0.45, 0.6):
+        for seed in range(8):
+            generate(GenSpec(600, degree_from_ratio(600, c), "random-regular", seed))
+    assert len(calls) == 24
 
 
 @settings(max_examples=40, deadline=None)
