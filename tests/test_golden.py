@@ -82,8 +82,8 @@ def _bench_graph_digests() -> dict[tuple[str, int, int, int], str]:
 
 def test_benchmark_graphs_match_golden():
     # the graphs perfbench's regular-2400 and structured workloads cover; at
-    # n=2400, c=0.45 seed 0 restarts the pairing and c=0.6 takes the complement
-    # branch. Hashed from the masks: write_graph would dominate the test's time
+    # n=2400, c=0.3 seed 1 and c=0.45 switch stubs in and c=0.6 takes the
+    # complement branch. Hashed from the masks: write_graph would dominate the test's time
     digests = _bench_graph_digests()
     assert len(digests) == 8
     for (family, n, k, seed), digest in digests.items():
