@@ -2,11 +2,12 @@
 
 The workhorse is rotation-extension: grow a path greedily from both ends,
 and when stuck, rewire the tail end through a neighbor already on the path
-(suffix reversal) to expose a new endpoint. Spanning cycles close a spanning
-path either directly, through a crossing pair of chords, or by further
-rotations. For small host graphs (n <= EXHAUSTIVE_CAP = 14) one exhaustive
-bitmask DP provides ground truth, so failures up to that size are proofs of
-non-existence.
+(suffix reversal) to expose a new endpoint. An attempt stops once its path
+spans its start's component, and the search once its best result spans a
+largest component. Spanning cycles close a spanning path either directly,
+through a crossing pair of chords, or by further rotations. For small host
+graphs (n <= EXHAUSTIVE_CAP = 14) one exhaustive bitmask DP provides ground
+truth, so failures up to that size are proofs of non-existence.
 
 Search failure is a value carrying the best structure found, not an error.
 """
@@ -128,7 +129,7 @@ def _grow_path(
     budget: _Budget,
     rot_cap: int,
 ) -> list[int]:
-    """One rotation-extension attempt from `start`; returns the path found."""
+    """One rotation-extension attempt from `start` in the connected set `active`."""
     path = [start]
     mask = 1 << start
     rotations = 0
@@ -189,6 +190,22 @@ def _close_cycle(
     return None
 
 
+def _components(adj: Sequence[int], active: int) -> list[int]:
+    """Component masks of the subgraph `active` induces, by bit-parallel BFS."""
+    comps = []
+    while active:
+        comp = frontier = active & -active
+        while frontier:
+            reach = 0
+            for v in bits(frontier):
+                reach |= adj[v]
+            frontier = reach & active & ~comp
+            comp |= frontier
+        comps.append(comp)
+        active &= ~comp
+    return comps
+
+
 def _longest_search(
     adj: Sequence[int],
     active: int,
@@ -197,22 +214,25 @@ def _longest_search(
     budget_total: int,
     close: bool,
 ) -> Optional[list[int]]:
-    """Rotation-extension from random starts until the budget runs out or a
-    spanning result appears. Keeps the longest path or, with `close`, the
-    longest path that closes into a cycle on its own vertex set."""
+    """Rotation-extension from random starts, each grown inside its start's
+    component, until the budget runs out or a result spans a largest
+    component. Keeps the longest path or, with `close`, the longest path that
+    closes into a cycle on its own vertex set."""
     rng = random.Random(seed)
     budget = _Budget(budget_total)
     rot_cap = max(10 * n_active, 10)
     starts = list(bits(active))
+    comp_of = {v: comp for comp in _components(adj, active) for v in bits(comp)}
+    largest = max(comp.bit_count() for comp in comp_of.values())
     best: Optional[list[int]] = None
     while budget.left > 0:
         start = starts[rng.randrange(len(starts))]
-        found = _grow_path(adj, active, start, rng, budget, rot_cap)
+        found = _grow_path(adj, comp_of[start], start, rng, budget, rot_cap)
         if close:
             found = _close_cycle(adj, found, rng, budget)
         if found is not None and (best is None or len(found) > len(best)):
             best = found
-            if len(best) == n_active:
+            if len(best) == largest:
                 break
         budget.left -= 1  # restart overhead so zero-rotation stalls terminate
     return best
