@@ -10,6 +10,11 @@ the `is_eps_regular` verdict and witness of each cluster pair at the chain's
 eps and at 0.2. Run it on two commits and compare the printed line:
 
     python scripts/identity_digest.py
+    python scripts/identity_digest.py --lines   # also one line per input
+
+With --lines it first prints one `family n c seed gamma sha256` line per
+cover and one `family n c seed regularity sha256` line per graph, so that
+two commits' outputs can be diffed to name the inputs that moved.
 
 Grid: both random families at n in {40, 80, 120, 200, 300} with c in
 {0.1, 0.2, 0.3, 0.45, 0.6} (bipartite: {0.1, 0.15, 0.3, 0.45}) and seeds
@@ -17,7 +22,9 @@ Grid: both random families at n in {40, 80, 120, 200, 300} with c in
 seeds 0-1: 404 covers. It takes about 15 s on a 2-CPU machine.
 """
 
+import argparse
 import hashlib
+import sys
 
 from pathcover.cli import write_cover_file
 from pathcover.generators import GenSpec, degree_from_ratio, generate
@@ -67,9 +74,18 @@ def _regularity_text(g, cfg, seed: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def main() -> int:
+def main(argv=()) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--lines", action="store_true", help="also print one digest line per cover and per graph")
+    args = ap.parse_args(argv)
     total = hashlib.sha256()
     count = 0
+
+    def add(head: str, text: str, hashed: str) -> None:
+        total.update(hashed.encode())
+        if args.lines:
+            print(head, hashlib.sha256(text.encode()).hexdigest())
+
     for family, n, c, seed in _inputs():
         g = generate(GenSpec(n, degree_from_ratio(n, c), family, seed))
         cover_fn = path_cover if g.bipartition is None else path_cover_bipartite
@@ -80,12 +96,14 @@ def main() -> int:
                 text = rep.to_kv_text() + write_cover_file(cover) + f"merges={rep.merges}\n"
             except ValueError as exc:
                 text = f"{type(exc).__name__}: {exc}\n"
-            total.update(f"{family} {n} {c} {seed} {gamma}\n{text}".encode())
+            head = f"{family} {n} {c} {seed} {gamma}"
+            add(head, text, f"{head}\n{text}")
             count += 1
-        total.update(_regularity_text(g, PipelineConfig.derive(c, 0.1, seed=seed), seed).encode())
+        text = _regularity_text(g, PipelineConfig.derive(c, 0.1, seed=seed), seed)
+        add(f"{family} {n} {c} {seed} regularity", text, text)
     print(f"covers={count} sha256={total.hexdigest()}")
     return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))

@@ -246,8 +246,9 @@ def _rotation_search_lines() -> list[str]:
     """What the rotation-extension heuristic returns on hosts above
     EXHAUSTIVE_CAP, at fixed seeds and budgets: random graphs, random
     `within` subsets and bipartite sides, and unions of cliques and of
-    bicliques, where the path spans its component early and the search burns
-    rotations up to its cap or the budget. Pins the search's rng stream."""
+    bicliques, where an attempt stops once its path spans its start's
+    component and the search once a result spans a largest component. Pins
+    the search's rng stream."""
     hosts = [
         (f"{family}({n},c={c},seed={seed})", generate(GenSpec(n, degree_from_ratio(n, c), family, seed)))
         for family, n, c, seed in (
@@ -334,12 +335,32 @@ def test_reservoir_relaxed_matches_golden():
     assert _reservoir_relaxed_lines() == [line for line in golden if not line.startswith("#")]
 
 
-def test_identity_digest_matches_golden(capsys):
-    # one sha256 over 404 covers, their reports and merge logs, and the
-    # regularity layer of every graph; the grid is documented in the script
+def _identity_digest_script():
     spec = importlib.util.spec_from_file_location("identity_digest", SCRIPTS / "identity_digest.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    assert script.main() == 0
+    return script
+
+
+def test_identity_digest_matches_golden(capsys):
+    # one sha256 over 404 covers, their reports and merge logs, and the
+    # regularity layer of every graph; the grid is documented in the script
+    assert _identity_digest_script().main() == 0
     golden = (GOLDEN / "identity_digest.txt").read_text().splitlines()
     assert capsys.readouterr().out.splitlines() == [line for line in golden if not line.startswith("#")]
+
+
+def test_identity_digest_lines_name_each_input(capsys, monkeypatch):
+    # --lines adds one line per cover and per graph before the same summary
+    script = _identity_digest_script()
+    inputs = [("random-regular", 40, 0.3, 0), ("disjoint-cliques", 40, 0.225, 1)]
+    monkeypatch.setattr(script, "_inputs", lambda: iter(inputs))
+    assert script.main() == 0
+    summary = capsys.readouterr().out.splitlines()
+    assert script.main(["--lines"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(summary) == 1 and summary[0].startswith("covers=4 sha256=")
+    assert lines[-1:] == summary
+    heads = [" ".join(map(str, i)) + f" {last}" for i in inputs for last in ("None", "0.25", "regularity")]
+    assert [line.rsplit(" ", 1)[0] for line in lines[:-1]] == heads
+    assert all(len(line.rsplit(" ", 1)[1]) == 64 for line in lines[:-1])
