@@ -372,6 +372,8 @@ def cmd_oracle(args) -> int:
 def _berge_tutte_instances(n_max: int, exhaustive: bool, samples: int, seed: int):
     import random as _random
 
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     if exhaustive:
         cap = min(n_max, 7)
         for n in range(1, min(cap, 5) + 1):

@@ -209,6 +209,8 @@ def conjecture_spot_check(
     A violation (with witness instance) would be a counterexample to the
     n/(k+1) bound; none is expected.
     """
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     rep = ConjectureReport()
     instances: list[Graph] = []
     for i in range(samples):

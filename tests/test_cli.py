@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from pathcover.cli import CSV_HEADER, main, read_cover_file, write_cover_file
+from pathcover.cli import CSV_HEADER, _berge_tutte_instances, main, read_cover_file, write_cover_file
 from pathcover.graph import read_graph
 from pathcover.hamilton import Path
 from pathcover.pipeline import PathCover
@@ -209,6 +209,27 @@ def test_oracle_berge_tutte_exhaustive_small(capsys):
     code, out, _ = run(capsys, "oracle", "berge-tutte", "--n-max", "4", "--exhaustive")
     assert code == 0
     assert "mismatches=0" in out
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["oracle", "conjecture", "--k", "3", "--n", "8", "--samples", "5"],
+        ["oracle", "berge-tutte", "--n-max", "4", "--samples", "3", "--exhaustive"],
+    ],
+)
+def test_oracle_rejects_seed_outside_64_bits(capsys, command, seed):
+    code, out, err = run(capsys, *command, f"--seed={seed}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "seed must be in [0, 2**64)" in err
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_berge_tutte_instances_reject_seed_outside_64_bits(seed):
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+        next(_berge_tutte_instances(4, True, 3, seed))
 
 
 def test_bad_graph_file_is_param_error(tmp_path, capsys):

@@ -123,6 +123,13 @@ def test_conjecture_spot_check_small():
     assert rep.max_ratio <= 1.0
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_conjecture_spot_check_rejects_seed_outside_64_bits(seed):
+    # mix64 reduces mod 2**64, so -1 and 2**64 - 1 would draw the same samples
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+        conjecture_spot_check(3, 8, samples=5, seed=seed)
+
+
 def test_single_clique_is_tight():
     res = min_path_cover_exact(complete(4))
     assert res.cover_number == 1 == 4 // (3 + 1)
