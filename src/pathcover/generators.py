@@ -240,11 +240,11 @@ def extremal_family(spec: GenSpec) -> Graph:
     """
     n, k = spec.n, spec.k
     if spec.family == "disjoint-cliques":
-        # v lies in block v // (k+1); the last block takes the n % (k+1) leftovers
-        label = np.minimum(np.arange(n) // (k + 1), n // (k + 1) - 1)
-        a = label[:, None] == label[None, :]
-        np.fill_diagonal(a, False)
-        return Graph._from_matrix(a)
+        # blocks of k+1 consecutive vertices, built as row masks with no n x n
+        # matrix; the last block takes the n % (k+1) leftovers
+        cuts = [b * (k + 1) for b in range(n // (k + 1))] + [n]
+        adj = tuple(((1 << hi) - (1 << lo)) ^ (1 << v) for lo, hi in zip(cuts, cuts[1:]) for v in range(lo, hi))
+        return Graph._from_masks(adj, None)
     if spec.family == "disjoint-bicliques":
         half = n // 2
         label = (np.arange(n) % half) // k
