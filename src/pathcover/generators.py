@@ -240,8 +240,7 @@ def extremal_family(spec: GenSpec) -> Graph:
     """
     n, k = spec.n, spec.k
     if spec.family == "disjoint-cliques":
-        # blocks of k+1 consecutive vertices, built as row masks with no n x n
-        # matrix; the last block takes the n % (k+1) leftovers
+        # row masks of blocks of k+1 vertices; the last takes the n % (k+1) leftovers
         cuts = [b * (k + 1) for b in range(n // (k + 1))] + [n]
         adj = tuple(((1 << hi) - (1 << lo)) ^ (1 << v) for lo, hi in zip(cuts, cuts[1:]) for v in range(lo, hi))
         return Graph._from_masks(adj, None)

@@ -190,20 +190,22 @@ def _close_cycle(
     return None
 
 
-def _components(adj: Sequence[int], active: int) -> list[int]:
-    """Component masks of the subgraph `active` induces, by bit-parallel BFS."""
-    comps = []
+def _components(adj: Sequence[int], active: int) -> tuple[list[int], list[int]]:
+    """Component masks of the subgraph `active` induces, by bit-parallel BFS,
+    and the index of each active vertex's component in that list."""
+    comps, label = [], [0] * len(adj)
     while active:
         comp = frontier = active & -active
         while frontier:
             reach = 0
             for v in bits(frontier):
                 reach |= adj[v]
+                label[v] = len(comps)
             frontier = reach & active & ~comp
             comp |= frontier
         comps.append(comp)
         active &= ~comp
-    return comps
+    return comps, label
 
 
 def _longest_search(
@@ -222,12 +224,12 @@ def _longest_search(
     budget = _Budget(budget_total)
     rot_cap = max(10 * n_active, 10)
     starts = list(bits(active))
-    comp_of = {v: comp for comp in _components(adj, active) for v in bits(comp)}
-    largest = max(comp.bit_count() for comp in comp_of.values())
+    comps, label = _components(adj, active)
+    largest = max(comp.bit_count() for comp in comps)
     best: Optional[list[int]] = None
     while budget.left > 0:
         start = starts[rng.randrange(len(starts))]
-        found = _grow_path(adj, comp_of[start], start, rng, budget, rot_cap)
+        found = _grow_path(adj, comps[label[start]], start, rng, budget, rot_cap)
         if close:
             found = _close_cycle(adj, found, rng, budget)
         if found is not None and (best is None or len(found) > len(best)):

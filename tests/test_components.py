@@ -44,7 +44,8 @@ def test_components_and_longest_path_on_unions(host):
     vs = range(g.n) if within is None else within
     active = mask_of(vs)
     adj = [g.adjacency_mask(v) for v in range(g.n)]
-    comps = _components(adj, active)
+    comps, label = _components(adj, active)
+    assert all((comps[label[v]] >> v) & 1 for v in vs)
     nxg = nx.Graph(g.edges)
     nxg.add_nodes_from(range(g.n))
     expected = nx.connected_components(nxg.subgraph(vs))
