@@ -104,6 +104,17 @@ def test_disjoint_cliques_remainder_adjustment():
     assert sorted(set(g.degrees())) == [3, 4]
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 80), st.data())
+def test_disjoint_cliques_match_matrix_reference(n, data):
+    # the row masks against the block-label matrix they replaced
+    k = data.draw(st.integers(0, n - 1))
+    label = np.minimum(np.arange(n) // (k + 1), n // (k + 1) - 1)
+    a = label[:, None] == label[None, :]
+    np.fill_diagonal(a, False)
+    assert extremal_family(GenSpec(n, k, "disjoint-cliques"))._adj == Graph._from_matrix(a)._adj
+
+
 def test_disjoint_bicliques_exact():
     g = extremal_family(GenSpec(12, 3, "disjoint-bicliques"))
     comps = components(g)
