@@ -223,12 +223,11 @@ def _longest_search(
     rng = random.Random(seed)
     budget = _Budget(budget_total)
     rot_cap = max(10 * n_active, 10)
-    starts = list(bits(active))
     comps, label = _components(adj, active)
     largest = max(comp.bit_count() for comp in comps)
     best: Optional[list[int]] = None
     while budget.left > 0:
-        start = starts[rng.randrange(len(starts))]
+        start = nth_bit(active, rng.randrange(n_active))
         found = _grow_path(adj, comps[label[start]], start, rng, budget, rot_cap)
         if close:
             found = _close_cycle(adj, found, rng, budget)
