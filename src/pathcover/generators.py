@@ -8,8 +8,8 @@ leftover stubs cannot form a fresh edge, or after 200 rounds, each leftover
 pair xy is switched in (McKay & Wormald 1990): a drawn edge ab becomes ax,
 by, keeping every degree. Only a failed switch restarts; graphs that needed
 no switch match older releases. Degrees above half the range are generated
-as the complement, which keeps the pairing density low. Every family builds
-one boolean adjacency matrix; all are deterministic per seed.
+as the complement, which keeps the pairing density low. Clique unions are
+built as row masks, others as one bool adjacency matrix; all deterministic per seed.
 """
 
 from __future__ import annotations
