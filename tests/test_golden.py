@@ -20,7 +20,7 @@ import pytest
 from pathcover._bits import mix64
 from pathcover.cli import main, write_cover_file
 from pathcover.generators import GenSpec, degree_from_ratio, extremal_family, generate
-from pathcover.graph import Graph, write_graph
+from pathcover.graph import Graph, read_graph, write_graph
 from pathcover.hamilton import (
     hamiltonian_path,
     longest_cycle,
@@ -136,19 +136,21 @@ def test_path_cover_bipartite_fallback_loop_matches_golden():
     assert text == (GOLDEN / "path_cover_bipartite_bicliques240.txt").read_text()
 
 
-# random bipartite-regular graphs with gamma=0.25 on which the first pass and
-# the first fallback attempt of the path stage leave vertices uncovered, and a
-# later attempt (the third for seed 5013) covers every vertex with one path
-FALLBACK_ATTEMPT_CASES = ((16, 5, 0.3125, 656), (32, 8, 0.25, 5672), (34, 12, 0.352941176, 5013), (36, 9, 0.25, 18))
-
-
 def _fallback_attempts_text() -> str:
+    """Covers of bipartite-regular graphs with gamma=0.25 on which the first
+    pass and the first fallback attempt of the path stage leave vertices
+    uncovered, and a later attempt (the third for seed 5013) covers every
+    vertex with one path. The graphs are stored as edge lists, each under an
+    `== n k c seed` line giving its config, so the pins outlive the generator
+    that drew them."""
     text = ""
-    for n, k, c, seed in FALLBACK_ATTEMPT_CASES:
-        g = generate(GenSpec(n, k, "random-bipartite-regular", seed))
-        cover, rep = path_cover_bipartite(g, PipelineConfig.derive(c, 0.1, gamma=0.25, seed=seed))
+    for block in (GOLDEN / "path_cover_bipartite_fallback_graphs.txt").read_text().split("== ")[1:]:
+        head, graph_text = block.split("\n", 1)
+        fields = dict(field.split("=") for field in head.split())
+        cfg = PipelineConfig.derive(float(fields["c"]), 0.1, gamma=0.25, seed=int(fields["seed"]))
+        cover, rep = path_cover_bipartite(read_graph(graph_text), cfg)
         assert rep.success
-        text += f"== n={n} k={k} c={c} seed={seed}\n" + rep.to_kv_text() + write_cover_file(cover)
+        text += f"== {head}\n" + rep.to_kv_text() + write_cover_file(cover)
     return text
 
 
