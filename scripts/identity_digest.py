@@ -12,9 +12,11 @@ eps and at 0.2. Run it on two commits and compare the printed line:
     python scripts/identity_digest.py
     python scripts/identity_digest.py --lines   # also one line per input
 
-With --lines it first prints one `family n c seed gamma sha256` line per
-cover and one `family n c seed regularity sha256` line per graph, so that
-two commits' outputs can be diffed to name the inputs that moved.
+With --lines it first prints, per input, one `family n c seed graph sha256`
+line (the sha256 of `write_graph(g)`), one `family n c seed gamma sha256`
+line per cover and one `family n c seed regularity sha256` line, so that two
+commits' outputs can be diffed to name the graphs and the covers that moved.
+The graph lines are not part of the summary hash.
 
 Grid: both random families at n in {40, 80, 120, 200, 300} with c in
 {0.1, 0.2, 0.3, 0.45, 0.6} (bipartite: {0.1, 0.15, 0.3, 0.45}) and seeds
@@ -28,6 +30,7 @@ import sys
 
 from pathcover.cli import write_cover_file
 from pathcover.generators import GenSpec, degree_from_ratio, generate
+from pathcover.graph import write_graph
 from pathcover.pipeline import PipelineConfig, path_cover, path_cover_bipartite
 from pathcover.regularity import build_cluster_graph, equitable_partition, is_eps_regular
 
@@ -76,7 +79,9 @@ def _regularity_text(g, cfg, seed: int) -> str:
 
 def main(argv=()) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--lines", action="store_true", help="also print one digest line per cover and per graph")
+    ap.add_argument(
+        "--lines", action="store_true", help="also print one digest line per graph, per cover and per regularity layer"
+    )
     args = ap.parse_args(argv)
     total = hashlib.sha256()
     count = 0
@@ -87,6 +92,8 @@ def main(argv=()) -> int:
 
     for family, n, c, seed in _inputs():
         g = generate(GenSpec(n, degree_from_ratio(n, c), family, seed))
+        if args.lines:
+            line(f"{family} {n} {c} {seed} graph", write_graph(g))
         cover_fn = path_cover if g.bipartition is None else path_cover_bipartite
         for gamma in (None, 0.25):
             cfg = PipelineConfig.derive(c, 0.1, gamma=gamma, seed=seed)

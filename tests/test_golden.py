@@ -353,7 +353,8 @@ def test_identity_digest_matches_golden(capsys):
 
 
 def test_identity_digest_lines_name_each_input(capsys, monkeypatch):
-    # --lines adds one line per cover and per graph before the same summary
+    # --lines adds one line per graph, per cover and per regularity layer
+    # before the same summary
     script = _identity_digest_script()
     inputs = [("random-regular", 40, 0.3, 0), ("disjoint-cliques", 40, 0.225, 1)]
     monkeypatch.setattr(script, "_inputs", lambda: iter(inputs))
@@ -363,6 +364,8 @@ def test_identity_digest_lines_name_each_input(capsys, monkeypatch):
     lines = capsys.readouterr().out.splitlines()
     assert len(summary) == 1 and summary[0].startswith("covers=4 sha256=")
     assert lines[-1:] == summary
-    heads = [" ".join(map(str, i)) + f" {last}" for i in inputs for last in ("None", "0.25", "regularity")]
+    heads = [" ".join(map(str, i)) + f" {last}" for i in inputs for last in ("graph", "None", "0.25", "regularity")]
     assert [line.rsplit(" ", 1)[0] for line in lines[:-1]] == heads
     assert all(len(line.rsplit(" ", 1)[1]) == 64 for line in lines[:-1])
+    g = generate(GenSpec(40, degree_from_ratio(40, 0.3), "random-regular", 0))
+    assert lines[0].rsplit(" ", 1)[1] == hashlib.sha256(write_graph(g).encode()).hexdigest()
