@@ -165,7 +165,10 @@ def _resolve_cfg(args, g: Graph) -> PipelineConfig:
 
     c = pick("c", args.c)
     if c is None:
-        c = g.regular_degree() / g.n
+        k = g.regular_degree()
+        c = k / g.n
+        if degree_from_ratio(g.n, c) != k:  # k/n rounds up at 9 decimals: take the 9-decimal floor
+            c = (k * 10**9 // g.n) / 10**9
     alpha = pick("alpha", args.alpha)
     if alpha is None:
         alpha = 0.1

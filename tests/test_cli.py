@@ -108,6 +108,17 @@ def test_cover_bipartite_graph(tmp_path, capsys):
     assert len(lines) <= 1  # floor(1/(2*0.3)) = 1
 
 
+@pytest.mark.parametrize("family, k", [("random-regular", 41), ("disjoint-cliques", 119)])
+def test_cover_derives_c_that_gives_back_the_degree(tmp_path, capsys, family, k):
+    # 41/120 and 119/120 round up at 9 decimals, and ceil(c*n) would be k+1
+    gfile = tmp_path / "g.txt"
+    code, _, _ = run(capsys, "generate", "--family", family, "--n", "120", "--k", str(k), "-o", str(gfile))
+    assert code == 0
+    code, _, err = run(capsys, "cover", str(gfile), "-o", str(tmp_path / "c.txt"))
+    assert code == 0
+    assert "success=True" in err
+
+
 def test_verify_catches_overlap(tmp_path, capsys):
     gfile = tmp_path / "g.txt"
     cfile = tmp_path / "c.txt"
