@@ -1,20 +1,22 @@
 """Seedable graph generators: random regular, random bipartite regular, and
 the tight families (disjoint cliques / disjoint bicliques).
 
-Random regular graphs come from the stub-pairing model with switchings, so
-they are not uniform. Colliding stubs (loops, repeated pairs; a repeat keeps
-its first occurrence in the round) are re-shuffled and re-paired. Once the
-leftover stubs cannot form a fresh edge, or after 200 rounds, each leftover
-pair xy is switched in (McKay & Wormald 1990): a drawn edge ab becomes ax,
-by, keeping every degree. Only a failed switch restarts; graphs that needed
-no switch match older releases. Degrees above half the range are generated
-as the complement, which keeps the pairing density low. Clique unions are
-built as row masks, others as one bool adjacency matrix; all deterministic per seed.
+Both random families come from one stub-pairing sampler with switchings, so
+they are not uniform. A round pairs the stubs at random: any two, or, for a
+bipartite graph, each X-stub with a Y-stub (the bipartite pairing model,
+McKay 1984). Colliding pairs (loops, repeated pairs; a repeat keeps its first
+occurrence in the round) are re-paired. Once the leftover stubs cannot form a
+fresh edge, or after 200 rounds, each leftover pair xy is switched in (McKay
+& Wormald 1990): a drawn edge ab becomes ax, by, keeping every degree; in a
+bipartite graph a is the edge's Y end, so both new edges cross the sides.
+Only a failed switch restarts. Degrees above half the range are generated as
+the complement (within the sides for a bipartite graph), which keeps the
+pairing density low. Clique unions are built as row masks, others as one bool
+adjacency matrix; all deterministic per seed.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,31 +87,35 @@ def generate(spec: GenSpec) -> Graph:
     return extremal_family(spec)
 
 
-def _pairing_edges(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Bool adjacency matrix of one pairing attempt with stub repair; raises _PairingStuck."""
+def _pairing_edges(n: int, k: int, rng: np.random.Generator, side: int = 0) -> np.ndarray:
+    """Bool adjacency matrix of one pairing attempt with stub repair; raises _PairingStuck.
+
+    With side > 0 only X = 0..side-1 is paired with Y = side..n-1."""
     if n * n * (n * k // 2) >= 2**63:
         raise ValueError(f"n={n}, k={k} is too large: the pairing's sort keys would overflow int64")
     stubs = np.repeat(np.arange(n, dtype=np.int64), k)
+    u, v = (stubs[: side * k], stubs[side * k :]) if side else (stubs, stubs[:0])
     present = np.zeros(n * n, dtype=bool)
     for _round in range(200):
-        stubs = rng.permutation(stubs)
-        u = np.minimum(stubs[0::2], stubs[1::2])
-        v = np.maximum(stubs[0::2], stubs[1::2])
+        if side:
+            v = rng.permutation(v)  # u keeps the X-stubs in place
+        else:
+            stubs = rng.permutation(np.concatenate([u, v]))
+            u, v = np.minimum(stubs[0::2], stubs[1::2]), np.maximum(stubs[0::2], stubs[1::2])
         keys = u * n + v
         ok = (u != v) & _first_occurrences(keys) & ~present[keys]
         present[keys[ok]] = True
-        bad = ~ok
-        if not bad.any():
+        u, v = u[~ok], v[~ok]
+        if ok.all() or not _repairable(u, v, present, n, side):
             break
-        stubs = np.concatenate([u[bad], v[bad]])
-        if not _repairable(stubs, present, n):
-            break
-    _switch_in(u[bad], v[bad], present, n, rng)
+    _switch_in(u, v, present, n, rng, side)
     upper = present.reshape(n, n)
     return upper | upper.T
 
 
-def _switch_in(xs: np.ndarray, ys: np.ndarray, present: np.ndarray, n: int, rng: np.random.Generator) -> None:
+def _switch_in(
+    xs: np.ndarray, ys: np.ndarray, present: np.ndarray, n: int, rng: np.random.Generator, side: int = 0
+) -> None:
     """Add each leftover pair xy, or switch a drawn edge ab to ax, by; raises _PairingStuck."""
     for x, y in zip(xs.tolist(), ys.tolist()):
         xy = min(x, y) * n + max(x, y)
@@ -120,6 +126,8 @@ def _switch_in(xs: np.ndarray, ys: np.ndarray, present: np.ndarray, n: int, rng:
         if edges.size == 0:
             raise _PairingStuck
         r = rng.integers(2 * edges.size, size=1000)  # an edge and its orientation per draw
+        if side:
+            r |= 1  # a is the edge's Y end: ax and by cross the sides, as x is in X
         e = edges[r // 2]
         a = np.where(r % 2 == 1, e % n, e // n)
         b = e // n + e % n - a
@@ -146,17 +154,29 @@ class _PairingStuck(Exception):
     pass
 
 
-def _repairable(stubs: np.ndarray, present: np.ndarray, n: int) -> bool:
-    """Can any pair of leftover stubs still form a fresh edge?"""
-    mark = np.zeros(n, dtype=bool)
-    mark[stubs] = True
-    verts = np.flatnonzero(mark)
-    if verts.size < 2:
-        return False
-    if verts.size > 64:
+def _repairable(xs: np.ndarray, ys: np.ndarray, present: np.ndarray, n: int, side: int = 0) -> bool:
+    """Can two leftover stubs still form a fresh edge? With side > 0 only an xs-ys pair counts."""
+    groups = (xs, ys) if side else (np.concatenate([xs, ys]),)
+    ends = [np.flatnonzero(np.bincount(g, minlength=n)) for g in groups]
+    rows, cols = ends[0], ends[-1]
+    if rows.size + cols.size > 128:
         return True  # essentially always repairable with this many endpoints
-    pairs = present.reshape(n, n)[np.ix_(verts, verts)]
-    return not pairs[np.triu_indices(verts.size, 1)].all()
+    fresh = ~present.reshape(n, n)[np.ix_(rows, cols)]
+    return bool((fresh & (rows[:, None] < cols)).any())  # u < v: each unordered pair once, no loop
+
+
+def _paired_graph(n: int, k: int, seed: int, salt: int, side: int = 0) -> Graph:
+    """The first pairing attempt that does not get stuck, up to RESTART_CAP attempts."""
+    sides = (range(side), range(side, n)) if side else None
+    if k == 0:
+        return Graph(n, [], bipartition=sides)
+    rng = np.random.Generator(np.random.PCG64(mix64(seed, salt, n, k)))
+    for _ in range(RESTART_CAP):
+        try:
+            return Graph._from_matrix(_pairing_edges(n, k, rng, side), sides)
+        except _PairingStuck:
+            continue
+    raise RetryExhausted(f"no simple pairing found for n={n}, k={k}")
 
 
 def random_regular(spec: GenSpec) -> Graph:
@@ -166,69 +186,18 @@ def random_regular(spec: GenSpec) -> Graph:
         # n(n-1-k) keeps the parity of nk, so the flipped spec is valid
         flipped = GenSpec(n, n - 1 - k, "random-regular", spec.seed)
         return complement(random_regular(flipped))
-    if k == 0:
-        return Graph(n, [])
-    rng = np.random.Generator(np.random.PCG64(mix64(spec.seed, 0xA11CE, n, k)))
-    for _ in range(RESTART_CAP):
-        try:
-            return Graph._from_matrix(_pairing_edges(n, k, rng))
-        except _PairingStuck:
-            continue
-    raise RetryExhausted(f"no simple pairing found for n={n}, k={k}")
+    return _paired_graph(n, k, spec.seed, 0xA11CE)
 
 
 def random_bipartite_regular(spec: GenSpec) -> Graph:
-    """Bipartite k-regular graph with X = {0..n/2-1}, Y = {n/2..n-1}.
-
-    Built as a union of k perfect matchings between the sides. A colliding
-    matching is repaired by random transpositions rather than redrawn whole.
-    """
+    """Bipartite k-regular graph with X = {0..n/2-1}, Y = {n/2..n-1}, from
+    the same pairing as `random_regular`, with X-stubs paired to Y-stubs."""
     n, k = spec.n, spec.k
     side = n // 2
     if k > side // 2:
         flipped = GenSpec(n, side - k, "random-bipartite-regular", spec.seed)
         return complement(random_bipartite_regular(flipped))
-    if k == 0:
-        return Graph(n, [], bipartition=(range(side), range(side, n)))
-    rng = random.Random(mix64(spec.seed, 0xB1B, n, k))
-    for _ in range(RESTART_CAP):
-        partner: list[set[int]] = [set() for _ in range(side)]
-        for _round in range(k):
-            perm = list(range(side))
-            rng.shuffle(perm)
-            if not _repair_matching(perm, partner, rng):
-                break
-            for x in range(side):
-                partner[x].add(perm[x])
-        else:
-            a = np.zeros((n, n), dtype=bool)
-            a[np.arange(side)[:, None], side + np.array([list(p) for p in partner])] = True
-            return Graph._from_matrix(a | a.T, (range(side), range(side, n)))
-    raise RetryExhausted(f"no bipartite pairing found for n={n}, k={k}")
-
-
-def _repair_matching(perm: list[int], partner: list[set[int]], rng: random.Random) -> bool:
-    side = len(perm)
-    colliding = [x for x in range(side) if perm[x] in partner[x]]
-    budget = 200 * side
-    while colliding:
-        budget -= 1
-        if budget <= 0:
-            return False
-        x = colliding[-1]
-        if perm[x] not in partner[x]:
-            colliding.pop()
-            continue
-        x2 = rng.randrange(side)
-        if x2 == x:
-            continue
-        if perm[x2] in partner[x] or perm[x] in partner[x2]:
-            continue
-        perm[x], perm[x2] = perm[x2], perm[x]
-        colliding.pop()
-        if perm[x2] in partner[x2]:
-            colliding.append(x2)
-    return True
+    return _paired_graph(n, k, spec.seed, 0xB1B, side)
 
 
 def extremal_family(spec: GenSpec) -> Graph:

@@ -218,15 +218,58 @@ def test_switch_without_a_candidate_restarts():
         _switch_in(np.array([1]), np.array([1]), np.zeros(n * n, dtype=bool), n, np.random.default_rng(0))
 
 
-def test_benchmark_scale_pairs_in_one_attempt(monkeypatch):
-    # before switchings these 24 graphs took 89 pairing attempts
+def _pairing_attempts(monkeypatch, family: str, cs: tuple[float, ...]) -> int:
     calls = []
     pairing = generators._pairing_edges
     monkeypatch.setattr(generators, "_pairing_edges", lambda *a: calls.append(a) or pairing(*a))
-    for c in (0.3, 0.45, 0.6):
+    for c in cs:
         for seed in range(8):
-            generate(GenSpec(600, degree_from_ratio(600, c), "random-regular", seed))
-    assert len(calls) == 24
+            generate(GenSpec(600, degree_from_ratio(600, c), family, seed))
+    return len(calls)
+
+
+def test_benchmark_scale_pairs_in_one_attempt(monkeypatch):
+    # before switchings these 24 graphs took 89 pairing attempts
+    assert _pairing_attempts(monkeypatch, "random-regular", (0.3, 0.45, 0.6)) == 24
+
+
+def test_bipartite_benchmark_scale_pairs_in_one_attempt(monkeypatch):
+    assert _pairing_attempts(monkeypatch, "random-bipartite-regular", (0.15, 0.3, 0.45)) == 24
+
+
+def _stuck_on_a_present_pair(half: int, k: int, seed: int) -> tuple[np.ndarray, int, int]:
+    """A bipartite k-regular pairing with xb, ay replaced by ab, where xy is an
+    edge: the leftover pair xy can only be placed by a switch."""
+    n = 2 * half
+    g = random_bipartite_regular(GenSpec(n, k, "random-bipartite-regular", seed=seed))
+    x, y, a, b = next(
+        (x, y, a, b)
+        for x in range(half)
+        for y in g.neighbors(x)
+        for b in g.neighbors(x)
+        for a in g.neighbors(y)
+        if a != x and b != y and not g.adjacent(a, b)
+    )
+    present = np.zeros(n * n, dtype=bool)
+    for u, v in g.edges:
+        present[u * n + v] = True
+    present[[x * n + b, a * n + y]] = False
+    present[a * n + b] = True
+    return present, x, y
+
+
+def test_bipartite_switch_keeps_edges_across_the_sides():
+    half, k = 15, 5
+    n = 2 * half
+    results = []
+    for _ in range(2):
+        present, x, y = _stuck_on_a_present_pair(half, k, seed=4)
+        _switch_in(np.array([x]), np.array([y]), present, n, np.random.default_rng(7), half)
+        upper = present.reshape(n, n)
+        g = Graph._from_matrix(upper | upper.T, (range(half), range(half, n)))  # audits: every edge crosses
+        assert all(d == k for d in g.degrees())
+        results.append(present.tobytes())
+    assert results[0] == results[1]
 
 
 @settings(max_examples=40, deadline=None)
@@ -252,22 +295,42 @@ def test_first_occurrences_matches_stable_argsort(keys):
     assert np.array_equal(_first_occurrences(keys), first)
 
 
+def _leftovers(pairs) -> tuple[np.ndarray, np.ndarray]:
+    return np.array([x for x, _ in pairs], dtype=np.int64), np.array([y for _, y in pairs], dtype=np.int64)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 9), st.data())
 def test_repairable_matches_unique_reference(n, data):
-    stubs = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=12)), dtype=np.int64)
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=6))
     present = np.array(data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)), dtype=bool)
-    verts = np.unique(stubs)
+    xs, ys = _leftovers(pairs)
+    verts = np.unique(np.concatenate([xs, ys]))
     expected = verts.size >= 2 and (
         verts.size > 64
         or any(not present[int(a) * n + int(b)] for i, a in enumerate(verts) for b in verts[i + 1 :])
     )
-    assert _repairable(stubs, present, n) == expected
+    assert _repairable(xs, ys, present, n) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_repairable_bipartite_counts_only_cross_pairs(half, data):
+    # leftover X-ends and Y-ends; a fresh pair inside a side does not count
+    n = 2 * half
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, half - 1), st.integers(half, n - 1)), max_size=6))
+    present = np.array(data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)), dtype=bool)
+    xs, ys = _leftovers(pairs)
+    expected = any(not present[x * n + y] for x in set(xs.tolist()) for y in set(ys.tolist()))
+    assert _repairable(xs, ys, present, n, half) == expected
 
 
 def test_repairable_many_endpoints_short_circuits():
-    n = 80
-    assert _repairable(np.arange(n, dtype=np.int64), np.ones(n * n, dtype=bool), n)
+    n = 160
+    full = np.ones(n * n, dtype=bool)
+    assert _repairable(np.arange(40), np.arange(40, 80), full, n)
+    assert _repairable(np.arange(80), np.arange(80, 160), full, n, 80)
+    assert not _repairable(np.arange(40), np.arange(80, 120), full, n, 80)
 
 
 def test_pairing_rejects_sizes_whose_sort_keys_would_wrap():
