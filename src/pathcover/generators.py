@@ -94,13 +94,14 @@ def _pairing_edges(n: int, k: int, rng: np.random.Generator, side: int = 0) -> n
     if n * n * (n * k // 2) >= 2**63:
         raise ValueError(f"n={n}, k={k} is too large: the pairing's sort keys would overflow int64")
     stubs = np.repeat(np.arange(n, dtype=np.int64), k)
-    u, v = (stubs[: side * k], stubs[side * k :]) if side else (stubs, stubs[:0])
+    u, v = stubs[: side * k], stubs[side * k :]  # the X- and Y-stubs; with side = 0 all are in v
     present = np.zeros(n * n, dtype=bool)
     for _round in range(200):
         if side:
-            v = rng.permutation(v)  # u keeps the X-stubs in place
+            rng.shuffle(v)  # u keeps the X-stubs in place
         else:
-            stubs = rng.permutation(np.concatenate([u, v]))
+            stubs = np.concatenate([u, v])
+            rng.shuffle(stubs)
             u, v = np.minimum(stubs[0::2], stubs[1::2]), np.maximum(stubs[0::2], stubs[1::2])
         keys = u * n + v
         ok = (u != v) & _first_occurrences(keys) & ~present[keys]
