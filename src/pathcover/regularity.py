@@ -3,11 +3,11 @@ super-regular cleaning.
 
 There is no attempt to certify the partition the way the tower-type
 existence argument would; instead partitions are drawn at random (best of
-several draws by mean-square density) and every pair the pipeline relies on
-is verified per instance. A partition may cover a working subset of the
-vertices, read in place. One chunked matrix product of that subset's
-adjacency with the one-hot labels of all draws scores them together, and
-the chosen draw's pair counts come out of the same product.
+several draws by mean-square density, or one draw on a complete or edgeless
+working set, where every draw ties) and every pair the pipeline relies on is
+verified per instance. A partition may cover a working subset, read in
+place. One chunked product of its adjacency with every draw's one-hot labels
+scores all draws and gives the chosen draw's pair counts.
 
 Regularity verdicts come in two modes:
 
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -108,8 +109,8 @@ def equitable_partition(g: Graph, t: int, seed: int = 0) -> Partition:
     """Random equitable partition into t clusters of even size m = floor(n/t)
     (rounded down to even); leftovers go to the exceptional set.
 
-    Draws REFINE candidates and keeps the one with the largest mean-square
-    density, which is the quantity partition refinement drives up.
+    Keeps the draw of largest mean-square density, which partition refinement
+    drives up, of REFINE draws (one where all tie: a complete or edgeless g).
     """
     return _partition_with_counts(g, range(g.n), t, seed)[0]
 
@@ -124,12 +125,13 @@ def _partition_with_counts(
     `within`, in g's ids, with the chosen draw's counts e(V_i, V_j), i < j.
 
     Each draw shuffles the positions 0..n'-1 and maps them through `within`,
-    as a relabelled copy of the subgraph would. All draws are scored by one
-    product A @ P: A is the 0/1 adjacency of `within`, unpacked ROW_CHUNK rows
-    at a time as float32, and P holds the one-hot cluster labels of every
-    draw. Each entry of A @ P counts at most n' < 2**24 ones, so it is exact;
-    the per-draw sums over each cluster's rows are taken in int64, since
-    e(V_i, V_j) reaches m^2.
+    as a relabelled copy of the subgraph would. On a complete or edgeless
+    `within` only draw 0 is made: every pair of every draw has e(V_i, V_j) =
+    m^2 (or 0), so all draws tie. The draws are scored by one product A @ P:
+    A is the 0/1 adjacency of `within`, unpacked ROW_CHUNK rows at a time as
+    float32, and P holds the one-hot cluster labels of every draw. Each entry
+    of A @ P counts at most n' < 2**24 ones, so it is exact; the per-draw sums
+    over each cluster's rows are taken in int64, since e(V_i, V_j) reaches m^2.
     """
     n = len(within)
     if not 1 <= t <= n:
@@ -137,22 +139,23 @@ def _partition_with_counts(
     m = (n // t) & ~1
     if m == 0:
         raise ValueError(f"clusters would be empty with t={t}, n={n}")
-    perms = np.empty((REFINE, n), dtype=np.intp)
-    for round_ in range(REFINE):
+    draws = 1 if _every_draw_ties(g, within) else REFINE
+    perms = np.empty((draws, n), dtype=np.intp)
+    for round_ in range(draws):
         perm = list(range(n))
         random.Random(mix64(seed, 0x9A27, round_)).shuffle(perm)
         perms[round_] = perm
     # labels[pos, round]: cluster of working position pos, or t for V_0
-    labels = np.full((n, REFINE), t, dtype=np.intp)
-    labels[perms[:, : t * m].T, np.arange(REFINE)] = (np.arange(t * m) // m)[:, None]
+    labels = np.full((n, draws), t, dtype=np.intp)
+    labels[perms[:, : t * m].T, np.arange(draws)] = (np.arange(t * m) // m)[:, None]
     onehot = labels[:, :, None] == np.arange(t)  # [pos, round, cluster]
-    p = onehot.reshape(n, REFINE * t).astype(np.float32)
+    p = onehot.reshape(n, draws * t).astype(np.float32)
     cols = np.asarray(within)
-    counts = np.zeros((REFINE, t, t), dtype=np.int64)
+    counts = np.zeros((draws, t, t), dtype=np.int64)
     for lo in range(0, n, ROW_CHUNK):
         rows = within[lo : lo + ROW_CHUNK]
         ap = _adjacency_block(g, rows, cols).astype(np.float32) @ p
-        ap = ap.astype(np.int64).reshape(len(rows), REFINE, t).transpose(1, 0, 2)
+        ap = ap.astype(np.int64).reshape(len(rows), draws, t).transpose(1, 0, 2)
         counts += onehot[lo : lo + ROW_CHUNK].transpose(1, 2, 0).astype(np.int64) @ ap
     pairs = [(i, j) for i in range(t) for j in range(i + 1, t)]
     best, best_index = 0, -1.0
@@ -171,6 +174,18 @@ def _partition_with_counts(
     )
     e = counts[best].tolist()
     return part, {(i, j): e[i][j] for i, j in pairs}
+
+
+def _every_draw_ties(g: Graph, within: Sequence[int]) -> bool:
+    """Does the sorted id list `within` induce a complete or an edgeless graph?
+    A first vertex of degree below n'-1 with a working neighbour rules out both."""
+    n, first = len(within), g.adjacency_mask(within[0])
+    linked = any((i := bisect_left(within, w)) < n and within[i] == w for w in bits(first))
+    if linked and first.bit_count() < n - 1:
+        return False
+    rmask = mask_of(within)
+    want = rmask if linked else 0  # complete: each v sees all of within but v; edgeless: none
+    return all((g.adjacency_mask(v) | linked << v) & rmask == want for v in within)
 
 
 def _pair_counts(g: Graph, p: Partition) -> PairCounts:

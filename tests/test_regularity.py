@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from pathcover import regularity
 from pathcover._bits import mask_of, mix64
+from pathcover.generators import GenSpec, generate
 from pathcover.graph import Graph, density, induced_subgraph
 from pathcover.regularity import (
     REFINE,
     ROW_CHUNK,
     CleaningFailed,
     Partition,
+    _every_draw_ties,
     _pair_counts,
     _partition_with_counts,
     build_cluster_graph,
@@ -193,6 +195,104 @@ def test_partition_edgeless_graph_keeps_the_first_draw():
     p = equitable_partition(g, 4, seed=3)
     assert p == reference_partition(g, 4, 3)
     assert p.clusters[0] == frozenset(perm[:12]) and p.exceptional == frozenset(perm[48:])
+
+
+def _clique_and_independent_host():
+    """60 vertices: the even ids form a clique, and each odd id is joined to
+    about half of the even ids and to no odd id. So the evens induce a
+    complete graph and the odds an edgeless one, and every vertex of either
+    set has neighbours outside it."""
+    rng = random.Random(5)
+    evens, odds = range(0, 60, 2), range(1, 60, 2)
+    edges = {(u, v) for u in evens for v in evens if u < v}
+    edges |= {(min(u, v), max(u, v)) for u in odds for v in evens if rng.random() < 0.5}
+    return 60, edges, list(evens), list(odds)
+
+
+def _tie_cases():
+    """(host n, host edges, working set, edge whose toggle breaks the tie)
+    per case. Each case toggles one edge away from the first working vertex,
+    whose degree then passes the quick test, and one edge at it."""
+    k40 = {(u, v) for u in range(40) for v in range(u + 1, 40)}
+    n, edges, evens, odds = _clique_and_independent_host()
+    cases = {
+        "K40": (40, k40, list(range(40))),
+        "edgeless": (40, set(), list(range(40))),
+        "clique-in-host": (n, edges, evens),
+        "independent-in-host": (n, edges, odds),
+    }
+    return [
+        pytest.param(*cases[name], toggle, id=f"{name}-{toggle}")
+        for name, toggle in [
+            ("K40", (3, 17)), ("K40", (0, 1)),
+            ("edgeless", (3, 17)), ("edgeless", (0, 1)),
+            ("clique-in-host", (4, 30)), ("clique-in-host", (0, 2)),
+            ("independent-in-host", (5, 31)), ("independent-in-host", (1, 3)),
+        ]
+    ]
+
+
+def _partition_and_draws(g, within, t, seed):
+    """`_partition_with_counts` and the number of shuffles it made."""
+    with patch.object(regularity.random, "Random", wraps=random.Random) as rng:
+        part, counts = _partition_with_counts(g, within, t, seed)
+    return part, counts, rng.call_count
+
+
+@pytest.mark.parametrize("n, edges, within, toggle", _tie_cases())
+def test_partition_scores_one_draw_when_every_draw_ties(n, edges, within, toggle):
+    g = Graph(n, edges)
+    assert _every_draw_ties(g, within)
+    part, counts, draws = _partition_and_draws(g, within, 4, seed=9)
+    assert draws == 1
+    assert part == reference_partition(g, 4, 9, within=within)
+    assert counts == _pair_counts(g, part)
+    # one working edge more or less: the draws no longer tie by construction
+    broken = Graph(n, edges ^ {toggle})
+    assert not _every_draw_ties(broken, within)
+    part, counts, draws = _partition_and_draws(broken, within, 4, seed=9)
+    assert draws == REFINE
+    assert part == reference_partition(broken, 4, 9, within=within)
+    assert counts == _pair_counts(broken, part)
+
+
+@pytest.mark.parametrize("family, k", [("random-regular", 72), ("random-bipartite-regular", 36)])
+def test_every_draw_ties_decides_random_hosts_without_a_working_mask(family, k):
+    # the first working vertex rules out both cases, so no mask of the working
+    # set is built; on a bipartite host all of its neighbours are on the other side
+    g = generate(GenSpec(240, k, family, seed=3))
+    within = [v for v in range(240) if v % 7]
+    with patch.object(regularity, "mask_of", wraps=mask_of) as masks:
+        assert not _every_draw_ties(g, within)
+    assert masks.call_count == 0
+
+
+@st.composite
+def tie_inputs(draw):
+    """(graph, sorted working set) with n <= 30. The working set is often made
+    a clique or an independent set inside a host that is neither."""
+    n = draw(st.integers(1, 30))
+    p = draw(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
+    keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    within = [v for v in range(n) if keep[v]]
+    assume(within)
+    inner = {(u, v) for u in within for v in within if u < v}
+    mode = draw(st.sampled_from(["as drawn", "clique", "independent"]))
+    if mode == "clique":
+        edges |= inner
+    elif mode == "independent":
+        edges -= inner
+    return Graph(n, edges), within
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tie_inputs())
+def test_every_draw_ties_iff_working_set_is_complete_or_edgeless(case):
+    g, within = case
+    links = [g.adjacent(u, v) for i, u in enumerate(within) for v in within[i + 1 :]]
+    assert _every_draw_ties(g, within) == (all(links) or not any(links))
 
 
 # ------------------------------------------------------------------ regularity
