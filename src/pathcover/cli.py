@@ -251,8 +251,11 @@ def cmd_verify(args) -> int:
     return 0 if check.ok else 1
 
 
-def _parse_list(text: str, conv):
-    return [conv(tok) for tok in text.split(",") if tok]
+def _parse_list(text: str, conv, flag: str):
+    values = [conv(tok) for tok in text.split(",") if tok]
+    if not values:
+        raise ValueError(f"{flag} {text!r} lists no values")
+    return values
 
 
 def _parse_seed_range(text: str) -> range:
@@ -290,9 +293,12 @@ def _run_trial(
 
 
 def cmd_bench(args) -> int:
-    cs = _parse_list(args.c, float)
-    ns = _parse_list(args.n, int)
+    cs = _parse_list(args.c, float, "--c")
+    ns = _parse_list(args.n, int, "--n")
     seeds = _parse_seed_range(args.seeds)
+    threads = args.threads or int(os.environ.get("THREADS", 0)) or (os.cpu_count() or 1)
+    if threads < 0:
+        raise ValueError(f"{'--threads' if args.threads else 'THREADS'} must be >= 0, got {threads}")
     family = "random-bipartite-regular" if args.bipartite else "random-regular"
     for c, n, s in itertools.product(cs, ns, (seeds[0], seeds[-1])):
         # a parameter error exits 2 here instead of failing every trial of its cell
@@ -304,7 +310,6 @@ def cmd_bench(args) -> int:
         (family, n, c, args.alpha, s, args.timing)
         for c, n, s in itertools.product(cs, ns, seeds)
     ]
-    threads = args.threads or int(os.environ.get("THREADS", 0)) or (os.cpu_count() or 1)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(lambda t: _run_trial(*t), trials))
@@ -377,6 +382,8 @@ def _berge_tutte_instances(n_max: int, exhaustive: bool, samples: int, seed: int
 
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     if exhaustive:
         cap = min(n_max, 7)
         for n in range(1, min(cap, 5) + 1):

@@ -211,6 +211,8 @@ def conjecture_spot_check(
     """
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     rep = ConjectureReport()
     instances: list[Graph] = []
     for i in range(samples):

@@ -341,3 +341,47 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith(CSV_HEADER)
+
+
+@pytest.mark.parametrize(
+    "flags, fragment",
+    [
+        (["--c", ",", "--n", "60"], "--c ',' lists no values"),
+        (["--n", ",", "--c", "0.3"], "--n ',' lists no values"),
+        (["--c", "0.3", "--n", "40", "--threads", "-1"], "--threads must be >= 0, got -1"),
+    ],
+)
+def test_bench_rejects_empty_sweeps_and_negative_threads(capsys, flags, fragment):
+    code, out, err = run(capsys, "bench", *flags, "--seeds", "0", "--timing", "none")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and fragment in err
+
+
+def test_bench_rejects_negative_threads_env(capsys, monkeypatch):
+    monkeypatch.setenv("THREADS", "-2")
+    code, out, err = run(capsys, "bench", "--c", "0.3", "--n", "40", "--seeds", "0", "--timing", "none")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "THREADS must be >= 0, got -2" in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["oracle", "conjecture", "--k", "3", "--n", "8", "--samples", "-2"],
+        ["oracle", "berge-tutte", "--n-max", "4", "--samples", "-1"],
+        ["oracle", "berge-tutte", "--n-max", "4", "--samples", "-1", "--exhaustive"],
+    ],
+)
+def test_oracle_rejects_negative_samples(capsys, command):
+    code, out, err = run(capsys, *command)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "samples must be >= 0" in err
+
+
+def test_berge_tutte_instances_reject_negative_samples():
+    with pytest.raises(ValueError, match="samples must be >= 0, got -1"):
+        next(_berge_tutte_instances(4, True, -1, 0))
+    assert list(_berge_tutte_instances(8, False, 0, 0)) == []

@@ -130,6 +130,13 @@ def test_conjecture_spot_check_rejects_seed_outside_64_bits(seed):
         conjecture_spot_check(3, 8, samples=5, seed=seed)
 
 
+def test_conjecture_spot_check_rejects_negative_samples():
+    # the named extras alone would otherwise be reported as checked
+    with pytest.raises(ValueError, match="samples must be >= 0, got -2"):
+        conjecture_spot_check(3, 8, samples=-2, extras=[petersen_graph()])
+    assert conjecture_spot_check(3, 8, samples=0).checked == 0
+
+
 def test_single_clique_is_tight():
     res = min_path_cover_exact(complete(4))
     assert res.cover_number == 1 == 4 // (3 + 1)
