@@ -350,6 +350,7 @@ def test_python_dash_m_runs_the_cli():
         (["--n", ",", "--c", "0.3"], "--n ',' lists no values"),
         (["--c", "0.3", "--n", "40", "--threads", "-1"], "--threads must be >= 0, got -1"),
     ],
+    ids=["empty-c", "empty-n", "negative-threads"],
 )
 def test_bench_rejects_empty_sweeps_and_negative_threads(capsys, flags, fragment):
     code, out, err = run(capsys, "bench", *flags, "--seeds", "0", "--timing", "none")
@@ -373,6 +374,7 @@ def test_bench_rejects_negative_threads_env(capsys, monkeypatch):
         ["oracle", "berge-tutte", "--n-max", "4", "--samples", "-1"],
         ["oracle", "berge-tutte", "--n-max", "4", "--samples", "-1", "--exhaustive"],
     ],
+    ids=["conjecture", "berge-tutte", "berge-tutte-exhaustive"],
 )
 def test_oracle_rejects_negative_samples(capsys, command):
     code, out, err = run(capsys, *command)

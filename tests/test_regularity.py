@@ -222,7 +222,7 @@ def _tie_cases():
         "independent-in-host": (n, edges, odds),
     }
     return [
-        pytest.param(*cases[name], toggle, id=f"{name}-{toggle}")
+        pytest.param(*cases[name], toggle, id=f"{name}-{toggle[0]}-{toggle[1]}")
         for name, toggle in [
             ("K40", (3, 17)), ("K40", (0, 1)),
             ("edgeless", (3, 17)), ("edgeless", (0, 1)),
