@@ -21,8 +21,9 @@ family) and audits the cover with `verify_cover` at the paths limit and
 alpha*n. The stages are timed by `perf_counter` wrappers on the private
 `pipeline` names in STAGES, summed over each cover's calls. Times are given
 in ms as the median and quartiles over --runs runs. Every run of a cell must
-give the same outcome (method, paths, uncovered, audit). A full run takes a
-few minutes on a 2-CPU machine; the n=10^4 cell peaks near 1 GB.
+give the same outcome (method, paths, uncovered, audit). A full run of 10
+runs a cell takes about 1.5 minutes on a 2-CPU machine; the n=10^4 cell
+peaks near 1 GB.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+
+import numpy
 
 ROOT = Path(__file__).resolve().parents[1]
 STAGES = ("_reservoir_relaxed", "_partition_with_counts", "_strip", "_connect_absorb")
@@ -146,15 +149,6 @@ def measure(cell: Cell, runs: int, src: Path) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def _machine(src: Path) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src))
-    numpy = subprocess.run(
-        [sys.executable, "-c", "import numpy; print(numpy.__version__)"],
-        env=env, capture_output=True, text=True, check=True,
-    ).stdout.strip()
-    return {"nproc": os.cpu_count(), "python": platform.python_version(), "numpy": numpy}
-
-
 def _commit(src: Path) -> str:
     proc = subprocess.run(
         ["git", "-C", str(src), "rev-parse", "HEAD"], capture_output=True, text=True, check=False
@@ -167,13 +161,13 @@ def main(argv=None) -> int:
     ap.add_argument("--label", help="writes BENCH_<label>.json")
     ap.add_argument("--src", type=Path, default=ROOT / "src", help="the src directory to time")
     ap.add_argument("--commit", help="recorded commit (default: git rev-parse HEAD at --src)")
-    ap.add_argument("--runs", type=int, default=5)
+    ap.add_argument("--runs", type=int, default=10)
     ap.add_argument("--cells", help="comma list of cell names (default: all)")
     ap.add_argument("--out-dir", type=Path, default=ROOT)
     ap.add_argument("--child", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-    if args.runs < 1:
-        raise SystemExit("--runs must be at least 1")
+    if args.runs < 2:
+        raise SystemExit("--runs must be at least 2, for quartiles")
     if args.child:
         print(json.dumps(run_cell(Cell(**json.loads(args.child)), args.runs)))
         return 0
@@ -184,10 +178,12 @@ def main(argv=None) -> int:
     if unknown:
         raise SystemExit(f"unknown cells: {', '.join(unknown)}; known: {', '.join(CELLS)}")
     src = args.src.resolve()
+    args.out_dir.mkdir(parents=True, exist_ok=True)
     doc = {
         "label": args.label,
         "commit": args.commit or _commit(src),
-        "machine": _machine(src),
+        # --src only puts pathcover on the path, so the children load this numpy
+        "machine": {"nproc": os.cpu_count(), "python": platform.python_version(), "numpy": numpy.__version__},
         "runs": args.runs,
         "stages": list(STAGES),
         "cells": [],
