@@ -4,7 +4,7 @@ time of each cover stage, written to one BENCH_<label>.json.
 
     python scripts/bench_stages.py --label baseline
     python scripts/bench_stages.py --label after --src ../other/src --commit SHA
-    python scripts/bench_stages.py --label quick --cells cliques-1200-k1199 --runs 5
+    python scripts/bench_stages.py --label quick --cells cliques-1200-k1199
 
 Cells: random-regular c 0.3/0.45/0.6 and random-bipartite-regular c
 0.15/0.3/0.45 at n 600 and 2400; the route cell (random-regular n=2400,
@@ -20,10 +20,10 @@ graph, covers it (`path_cover`, or `path_cover_bipartite` for the bipartite
 family) and audits the cover with `verify_cover` at the paths limit and
 alpha*n. The stages are timed by `perf_counter` wrappers on the private
 `pipeline` names in STAGES, summed over each cover's calls. Times are given
-in ms as the median and quartiles over --runs runs. Every run of a cell must
-give the same outcome (method, paths, uncovered, audit). A full run of 10
-runs a cell takes about 1.5 minutes on a 2-CPU machine; the n=10^4 cell
-peaks near 1 GB.
+in ms as the median and quartiles over the RUNS (10) runs of each cell, a
+length fixed so that every BENCH file is comparable. Every run of a cell
+must give the same outcome (method, paths, uncovered, audit). A full run
+takes about 1.5 minutes on a 2-CPU machine; the n=10^4 cell peaks near 1 GB.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ import numpy
 
 ROOT = Path(__file__).resolve().parents[1]
 STAGES = ("_reservoir_relaxed", "_partition_with_counts", "_strip", "_connect_absorb")
+RUNS = 10
 
 
 @dataclass(frozen=True)
@@ -84,8 +85,8 @@ def _quartiles(values: list[float]) -> dict[str, float]:
     return {"median": round(median, 3), "q1": round(q1, 3), "q3": round(q3, 3)}
 
 
-def run_cell(cell: Cell, runs: int) -> dict:
-    """Time `runs` runs of the cell in this process; times in ms."""
+def run_cell(cell: Cell) -> dict:
+    """Time RUNS runs of the cell in this process; times in ms."""
     import pathcover.pipeline as pipeline
     from pathcover.generators import GenSpec, degree_from_ratio, generate
 
@@ -110,7 +111,7 @@ def run_cell(cell: Cell, runs: int) -> dict:
     cfg = pipeline.PipelineConfig.derive(cell.c, cell.alpha, seed=cell.seed, **cell.overrides)
     times: dict[str, list[float]] = {key: [] for key in ("generate", "cover", "verify", *STAGES)}
     outcomes = set()
-    for _ in range(runs):
+    for _ in range(RUNS):
         t0 = time.perf_counter()
         g = generate(spec)
         t1 = time.perf_counter()
@@ -137,11 +138,11 @@ def run_cell(cell: Cell, runs: int) -> dict:
     }
 
 
-def measure(cell: Cell, runs: int, src: Path) -> dict:
+def measure(cell: Cell, src: Path) -> dict:
     """`run_cell` in a child process that imports pathcover from `src`."""
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
-        [sys.executable, __file__, "--child", json.dumps(asdict(cell)), "--runs", str(runs)],
+        [sys.executable, __file__, "--child", json.dumps(asdict(cell))],
         env=env, capture_output=True, text=True, check=False,
     )
     if proc.returncode != 0:
@@ -161,15 +162,12 @@ def main(argv=None) -> int:
     ap.add_argument("--label", help="writes BENCH_<label>.json")
     ap.add_argument("--src", type=Path, default=ROOT / "src", help="the src directory to time")
     ap.add_argument("--commit", help="recorded commit (default: git rev-parse HEAD at --src)")
-    ap.add_argument("--runs", type=int, default=10)
     ap.add_argument("--cells", help="comma list of cell names (default: all)")
     ap.add_argument("--out-dir", type=Path, default=ROOT)
     ap.add_argument("--child", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-    if args.runs < 2:
-        raise SystemExit("--runs must be at least 2, for quartiles")
     if args.child:
-        print(json.dumps(run_cell(Cell(**json.loads(args.child)), args.runs)))
+        print(json.dumps(run_cell(Cell(**json.loads(args.child)))))
         return 0
     if not args.label:
         raise SystemExit("--label is required")
@@ -184,13 +182,13 @@ def main(argv=None) -> int:
         "commit": args.commit or _commit(src),
         # --src only puts pathcover on the path, so the children load this numpy
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(), "numpy": numpy.__version__},
-        "runs": args.runs,
+        "runs": RUNS,
         "stages": list(STAGES),
         "cells": [],
     }
     for name in names:
         t0 = time.perf_counter()
-        doc["cells"].append(measure(CELLS[name], args.runs, src))
+        doc["cells"].append(measure(CELLS[name], src))
         print(f"{name}: {time.perf_counter() - t0:.1f} s", file=sys.stderr)
     out = args.out_dir / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n")

@@ -18,10 +18,10 @@ def _script():
 
 def test_bench_stages_writes_one_cell(tmp_path, capsys):
     script = _script()
-    argv = ["--label", "smoke", "--cells", "regular-600-c0.3", "--runs", "2"]
+    argv = ["--label", "smoke", "--cells", "regular-600-c0.3"]
     assert script.main([*argv, "--commit", "abc123", "--out-dir", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "BENCH_smoke.json").read_text())
-    assert doc["label"] == "smoke" and doc["commit"] == "abc123" and doc["runs"] == 2
+    assert doc["label"] == "smoke" and doc["commit"] == "abc123" and doc["runs"] == script.RUNS
     assert set(doc["machine"]) == {"nproc", "python", "numpy"}
     (cell,) = doc["cells"]
     assert (cell["name"], cell["family"], cell["n"], cell["k"]) == ("regular-600-c0.3", "random-regular", 600, 180)
@@ -34,7 +34,7 @@ def test_bench_stages_writes_one_cell(tmp_path, capsys):
     assert cell["stage_ms"]["_reservoir_relaxed"]["median"] > 0
     assert cell["stage_ms"]["_partition_with_counts"]["median"] > 0
     assert sum(s["median"] for s in cell["stage_ms"].values()) <= cell["ms"]["cover"]["q3"]
-    assert len(cell["cover_ms_runs"]) == 2 and cell["peak_rss_mb"] > 0
+    assert len(cell["cover_ms_runs"]) == script.RUNS and cell["peak_rss_mb"] > 0
 
 
 def test_bench_stages_cells_cover_the_roadmap_grid():
