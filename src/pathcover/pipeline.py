@@ -666,8 +666,11 @@ def _absorb(
     free: set[int],
 ) -> tuple[list[Path], int]:
     """Pull free vertices into the paths: extend ends greedily, then splice a
-    free vertex between any two consecutive path vertices it is adjacent to.
-    Deterministic (smallest vertex, first position)."""
+    free run between consecutive path vertices p_i, p_{i+1}. A run is a free
+    vertex w with p_i ~ w ~ p_{i+1} or, only if no such w exists, a free edge
+    ww' with p_i ~ w and w' ~ p_{i+1}; in a bipartite graph consecutive path
+    vertices lie on opposite sides, so only the edge can fit there.
+    Deterministic (smallest w, then smallest w', then first position)."""
     absorbed = 0
     changed = True
     while changed and free:
@@ -688,21 +691,24 @@ def _absorb(
                 paths[idx] = Path(vs)
         if changed or not free:
             continue
-        # no end extends; try splicing w between consecutive path vertices
-        for w in sorted(free):
-            aw = g.adjacency_mask(w)
+        # no end extends; splice a run (w,), then (w, w'), between consecutive
+        # path vertices. occ[w][idx] has bit i set iff w ~ p_i on path idx; it
+        # is built at most once per round
+        occ: dict[int, list[int]] = {}
+        order = sorted(free)
+        pairs = ((w, u) for w in order for u in bits(g.adjacency_mask(w) & fmask))
+        for run in itertools.chain(((w,) for w in order), pairs):
+            for w in run:
+                if w not in occ:
+                    aw = g.adjacency_mask(w)
+                    occ[w] = [sum(1 << i for i, v in enumerate(p.vertices) if (aw >> v) & 1) for p in paths]
             for idx, p in enumerate(paths):
-                vs = p.vertices
-                occ = 0
-                for i, v in enumerate(vs):
-                    if (aw >> v) & 1:
-                        occ |= 1 << i
-                gap = occ & (occ >> 1)
+                gap = occ[run[0]][idx] & (occ[run[-1]][idx] >> 1)
                 if gap:
                     i = (gap & -gap).bit_length() - 1
-                    paths[idx] = Path(vs[: i + 1] + (w,) + vs[i + 1 :])
-                    free.discard(w)
-                    absorbed += 1
+                    paths[idx] = Path(p.vertices[: i + 1] + run + p.vertices[i + 1 :])
+                    free.difference_update(run)
+                    absorbed += len(run)
                     changed = True
                     break
             if changed:

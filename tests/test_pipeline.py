@@ -395,6 +395,37 @@ def test_absorb_splices_at_first_gap():
     assert _absorb(g, paths, {6}) == ([Path((0, 1, 6, 2, 3, 4, 5))], 1)
 
 
+def test_absorb_splices_free_edge_on_bipartite_path():
+    # sides {0, 2, 4} and {1, 3, 5}: no free vertex sees two consecutive path
+    # vertices, but the free edge 4-5 fits between 1 ~ 4 and 5 ~ 2
+    g = Graph(6, [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5), (5, 2)], bipartition=({0, 2, 4}, {1, 3, 5}))
+    free = {4, 5}
+    assert _absorb(g, [Path((0, 1, 2, 3))], free) == ([Path((0, 1, 4, 5, 2, 3))], 2)
+    assert free == set()
+
+
+def test_absorb_single_splice_before_free_edge():
+    # 6 fits between 1 and 2, and so would the free edge 4-5 (4 < 6); the
+    # single vertex goes first and leaves the pair no gap
+    g = Graph(7, [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5), (5, 2), (6, 1), (6, 2)])
+    free = {4, 5, 6}
+    assert _absorb(g, [Path((0, 1, 2, 3))], free) == ([Path((0, 1, 6, 2, 3))], 1)
+    assert free == {4, 5}
+
+
+def test_absorb_free_edge_order():
+    # runs (8, 9) and (8, 10) fit after 2 and 4, and (10, 8) already after 1:
+    # the smallest w, then the smallest w', then the first gap wins
+    g = Graph(
+        11,
+        [(i, i + 1) for i in range(7)]
+        + [(8, 2), (8, 4), (8, 9), (8, 10), (9, 3), (9, 5), (10, 1), (10, 3), (10, 5)],
+    )
+    free = {8, 9, 10}
+    assert _absorb(g, [Path(tuple(range(8)))], free) == ([Path((0, 1, 2, 8, 9, 3, 4, 5, 6, 7))], 2)
+    assert free == {10}
+
+
 # ------------------------------------------------------------------ cover audit
 
 
