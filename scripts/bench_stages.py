@@ -5,6 +5,8 @@ time of each cover stage, written to one BENCH_<label>.json.
     python scripts/bench_stages.py --label baseline
     python scripts/bench_stages.py --label after --src ../other/src --commit SHA
     python scripts/bench_stages.py --label quick --cells cliques-1200-k1199
+    python scripts/bench_stages.py --label parent --src ../parent/src \
+        --label change --src src
 
 Cells: random-regular c 0.3/0.45/0.6 and random-bipartite-regular c
 0.15/0.3/0.45 at n 600 and 2400; the route cell (random-regular n=2400,
@@ -15,10 +17,15 @@ Every cell uses seed 0 and, unless it says otherwise, alpha 0.1.
 
 Each cell runs in its own child process, which imports pathcover from --src
 (default: this checkout's src). So its peak RSS (`ru_maxrss`) is its own,
-and one copy of this script can time another checkout. A run generates the
-graph, covers it (`path_cover`, or `path_cover_bipartite` for the bipartite
-family) and audits the cover with `verify_cover` at the paths limit and
-alpha*n. The stages are timed by `perf_counter` wrappers on the private
+and one copy of this script can time another checkout. Given twice, with
+one --label (and --commit, if any) per --src, it times two trees cell by
+cell: each cell runs once per tree back to back, the tree that goes first
+alternating from one cell to the next, so that drift between batches
+falls on both trees alike. Each tree gets its own BENCH_<label>.json.
+
+A run generates the graph, covers it (`path_cover`, or
+`path_cover_bipartite` for the bipartite family) and audits the cover with
+`verify_cover` at the paths limit and alpha*n. The stages are timed by `perf_counter` wrappers on the private
 `pipeline` names in STAGES, summed over each cover's calls. Times are given
 in ms as the median and quartiles over the RUNS (10) runs of each cell, a
 length fixed so that every BENCH file is comparable. Every run of a cell
@@ -159,9 +166,9 @@ def _commit(src: Path) -> str:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--label", help="writes BENCH_<label>.json")
-    ap.add_argument("--src", type=Path, default=ROOT / "src", help="the src directory to time")
-    ap.add_argument("--commit", help="recorded commit (default: git rev-parse HEAD at --src)")
+    ap.add_argument("--label", action="append", help="writes BENCH_<label>.json; one per --src")
+    ap.add_argument("--src", type=Path, action="append", help="the src directory to time (default: ./src)")
+    ap.add_argument("--commit", action="append", help="recorded commit (default: git rev-parse HEAD at --src)")
     ap.add_argument("--cells", help="comma list of cell names (default: all)")
     ap.add_argument("--out-dir", type=Path, default=ROOT)
     ap.add_argument("--child", help=argparse.SUPPRESS)
@@ -169,30 +176,38 @@ def main(argv=None) -> int:
     if args.child:
         print(json.dumps(run_cell(Cell(**json.loads(args.child)))))
         return 0
-    if not args.label:
-        raise SystemExit("--label is required")
+    srcs = [src.resolve() for src in args.src or [ROOT / "src"]]
+    if not args.label or len(set(args.label)) != len(srcs) or len(srcs) > 2:
+        raise SystemExit("give a distinct --label once per --src, for one or two trees")
+    if args.commit and len(args.commit) != len(srcs):
+        raise SystemExit("give --commit once per --src, or not at all")
     names = args.cells.split(",") if args.cells else list(CELLS)
     unknown = [name for name in names if name not in CELLS]
     if unknown:
         raise SystemExit(f"unknown cells: {', '.join(unknown)}; known: {', '.join(CELLS)}")
-    src = args.src.resolve()
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    doc = {
-        "label": args.label,
-        "commit": args.commit or _commit(src),
-        # --src only puts pathcover on the path, so the children load this numpy
-        "machine": {"nproc": os.cpu_count(), "python": platform.python_version(), "numpy": numpy.__version__},
-        "runs": RUNS,
-        "stages": list(STAGES),
-        "cells": [],
-    }
-    for name in names:
-        t0 = time.perf_counter()
-        doc["cells"].append(measure(CELLS[name], src))
-        print(f"{name}: {time.perf_counter() - t0:.1f} s", file=sys.stderr)
-    out = args.out_dir / f"BENCH_{args.label}.json"
-    out.write_text(json.dumps(doc, indent=1) + "\n")
-    print(out)
+    docs = [
+        {
+            "label": label,
+            "commit": args.commit[i] if args.commit else _commit(src),
+            # --src only puts pathcover on the path, so the children load this numpy
+            "machine": {"nproc": os.cpu_count(), "python": platform.python_version(), "numpy": numpy.__version__},
+            "runs": RUNS,
+            "stages": list(STAGES),
+            "cells": [],
+        }
+        for i, (label, src) in enumerate(zip(args.label, srcs))
+    ]
+    for turn, name in enumerate(names):
+        order = range(len(srcs)) if turn % 2 == 0 else reversed(range(len(srcs)))
+        for i in order:
+            t0 = time.perf_counter()
+            docs[i]["cells"].append(measure(CELLS[name], srcs[i]))
+            print(f"{name} [{args.label[i]}]: {time.perf_counter() - t0:.1f} s", file=sys.stderr)
+    for doc in docs:
+        out = args.out_dir / f"BENCH_{doc['label']}.json"
+        out.write_text(json.dumps(doc, indent=1) + "\n")
+        print(out)
     return 0
 
 

@@ -1,4 +1,5 @@
-"""Smoke test of scripts/bench_stages.py: one small cell through its child process."""
+"""Smoke tests of scripts/bench_stages.py: one small cell through its child
+process, for one tree and for two."""
 
 import importlib.util
 import json
@@ -35,6 +36,33 @@ def test_bench_stages_writes_one_cell(tmp_path, capsys):
     assert cell["stage_ms"]["_partition_with_counts"]["median"] > 0
     assert sum(s["median"] for s in cell["stage_ms"].values()) <= cell["ms"]["cover"]["q3"]
     assert len(cell["cover_ms_runs"]) == script.RUNS and cell["peak_rss_mb"] > 0
+
+
+def test_bench_stages_times_two_trees(tmp_path, capsys):
+    # --src twice, one --label and --commit each: one BENCH file per tree
+    script = _script()
+    src = str(SCRIPT.parents[1] / "src")
+    argv = ["--cells", "regular-600-c0.3", "--out-dir", str(tmp_path)]
+    trees = ["--label", "one", "--src", src, "--commit", "c1", "--label", "two", "--src", src, "--commit", "c2"]
+    assert script.main([*argv, *trees]) == 0
+    assert capsys.readouterr().out.split() == [str(tmp_path / "BENCH_one.json"), str(tmp_path / "BENCH_two.json")]
+    for label, commit in (("one", "c1"), ("two", "c2")):
+        doc = json.loads((tmp_path / f"BENCH_{label}.json").read_text())
+        assert (doc["label"], doc["commit"], doc["runs"]) == (label, commit, script.RUNS)
+        (cell,) = doc["cells"]
+        assert cell["name"] == "regular-600-c0.3"
+        assert cell["outcome"] == {"method": "greedy-fallback", "paths": 1, "uncovered": 0, "audit_ok": True}
+
+
+def test_bench_stages_alternates_which_tree_goes_first(tmp_path, monkeypatch):
+    script = _script()
+    calls = []
+    monkeypatch.setattr(script, "measure", lambda cell, src: calls.append((cell.name, src.name)) or {})
+    cells = "regular-600-c0.3,regular-600-c0.45,regular-600-c0.6"
+    trees = ["--label", "one", "--src", str(tmp_path / "a"), "--label", "two", "--src", str(tmp_path / "b")]
+    assert script.main(["--cells", cells, "--commit", "c1", "--commit", "c2", "--out-dir", str(tmp_path), *trees]) == 0
+    assert [src for _, src in calls] == ["a", "b", "b", "a", "a", "b"]
+    assert [name for name, _ in calls[::2]] == cells.split(",")
 
 
 def test_bench_stages_cells_cover_the_roadmap_grid():
