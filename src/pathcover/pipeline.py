@@ -5,15 +5,18 @@ The cycle stage follows the regularity route: equitable partition, per-pair
 regularity verdicts, cluster graph on the dense regular pairs, half-integral
 matching, cluster splitting, super-regular cleaning, and one spanning cycle
 per cleaned pair. The path stage holds out a random reservoir first, covers
-the rest with cycles, cuts them open, and merges paths through unused
-reservoir vertices until the target count is reached.
+the rest with cycles, cuts them open, merges paths through unused reservoir
+vertices until the target count is reached, and absorbs what is left: at a
+path end, or spliced between consecutive path vertices as one free vertex
+or, failing that, as a free edge (the only run that fits a bipartite path).
 
 The guarantees behind the route are asymptotic, so at desk scale the
 parameter chain (d = alpha*c/9 and downward) often leaves no usable regular
 pairs. When that happens the run degrades to a labeled greedy fallback
-(rotation-extension stripping plus the same reservoir connection loop); the
-report always names the route taken, and every emitted cover passes the same
-structural audit either way.
+(rotation-extension stripping plus the same reservoir connection loop). A
+path stage that misses its limits makes one more strip with a fresh seed and
+keeps the better result. The report always names the route taken, and every
+emitted cover passes the same structural audit either way.
 """
 
 from __future__ import annotations
