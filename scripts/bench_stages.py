@@ -25,12 +25,13 @@ falls on both trees alike. Each tree gets its own BENCH_<label>.json.
 
 A run generates the graph, covers it (`path_cover`, or
 `path_cover_bipartite` for the bipartite family) and audits the cover with
-`verify_cover` at the paths limit and alpha*n. The stages are timed by `perf_counter` wrappers on the private
-`pipeline` names in STAGES, summed over each cover's calls. Times are given
-in ms as the median and quartiles over the RUNS (10) runs of each cell, a
-length fixed so that every BENCH file is comparable. Every run of a cell
-must give the same outcome (method, paths, uncovered, audit). A full run
-takes about 1.5 minutes on a 2-CPU machine; the n=10^4 cell peaks near 1 GB.
+`verify_cover` at the paths limit and alpha*n. The stages are timed by
+`perf_counter` wrappers on the private `pipeline` names in STAGES, summed
+over each cover's calls. Times are given in ms as the median and quartiles
+over the RUNS (10) runs of each cell, a length fixed so that every BENCH
+file is comparable. Every run of a cell must give the same outcome (method,
+paths, uncovered, audit). A full run takes about 1.5 minutes on a 2-CPU
+machine (twice that for two trees); the n=10^4 cell peaks near 1 GB.
 """
 
 from __future__ import annotations
