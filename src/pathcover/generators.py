@@ -17,7 +17,10 @@ adjacency matrix; all deterministic per seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import Union
 
 import numpy as np
 
@@ -71,12 +74,19 @@ class GenSpec:
             raise ValueError(f"disjoint-bicliques needs 2k | n, got n={n}, k={k}")
 
 
+def _dec(x: Union[int, float, Fraction]) -> Fraction:
+    """Snap a float to 9 decimals, exactly: 0.3 means 3/10, not the binary float."""
+    if isinstance(x, Fraction):
+        return x
+    return Fraction(round(x * 10**9), 10**9)
+
+
 def degree_from_ratio(n: int, c: float) -> int:
-    """k = ceil(c*n) for generators driven by a degree ratio c."""
+    """k = ceil(c*n) for generators driven by a degree ratio c, with c snapped
+    to 9 decimals so that 0.3 * 600 gives 180, not ceil(180.00000000000003)."""
     if not 0 < c <= 1:
         raise ValueError("c must be in (0, 1]")
-    # snap c to 9 decimals so 0.3 * 600 gives 180, not ceil(180.00000000000003)
-    return -((-n * int(round(c * 10**9))) // 10**9)
+    return math.ceil(_dec(c) * n)
 
 
 def generate(spec: GenSpec) -> Graph:

@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from ._bits import bits, mask_of, mix64
-from .generators import degree_from_ratio
+from .generators import _dec, degree_from_ratio
 from .graph import Graph
 from .graph import induced_subgraph  # noqa: F401  (kept only for perfbench's tracer)
 from .hamilton import (
@@ -42,12 +42,8 @@ from .hamilton import (
     longest_path,
     spanning_cycle_bipartite,
 )
-from .matching import (
-    SizeLimitError,
-    cluster_matching_pairs,
-    fractional_matching,
-    max_deficiency,
-)
+from .matching import cluster_matching_pairs, fractional_matching
+from .matching import max_deficiency  # noqa: F401  (kept only for perfbench's tracer)
 from .regularity import (
     CleaningFailed,
     ClusterGraph,
@@ -67,13 +63,6 @@ class ReservoirError(RuntimeError):
     """Rejection sampling for the reservoir ran out of attempts."""
 
 
-def _dec(x: Union[int, float, Fraction]) -> Fraction:
-    """Snap a float to 9 decimals, exactly: 0.3 means 3/10, not the binary float."""
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(round(x * 10**9), 10**9)
-
-
 def paths_limit(c: float) -> int:
     """floor(1/c)."""
     return int(1 / _dec(c))
@@ -87,11 +76,21 @@ def paths_limit_bipartite(c: float) -> int:
 # --------------------------------------------------------------- configuration
 
 
+_TOL = 1e-9  # slack of the eps <= d/6 and gamma <= 1/4 checks
+
+
+def _chain(c: float, alpha: float, d: Optional[float] = None) -> tuple[float, float, float]:
+    """The chain's (d, eps, gamma) at alpha; eps follows d when d is given."""
+    d = alpha * c / 9 if d is None else d
+    return d, min(0.1 * (d / 2), d / 6, 3 * d / (2 * c)), alpha / 4
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Run parameters; build with `derive` to get the standard chain
     d = alpha*c/9, delta = d/2, eps = min(delta/10, d/6, 3d/(2c)),
     gamma = alpha/4, beta = 3d/c. delta and beta are always derived from d.
+    A config is its seven values: equal configs run the same.
     """
 
     c: float
@@ -101,17 +100,15 @@ class PipelineConfig:
     gamma: float
     t: Optional[int] = None
     seed: int = 0
-    overrides: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if not 0 < self.c <= 1:
             raise ValueError("c must be in (0, 1]")
         if not 0 < self.alpha <= 1:
             raise ValueError("alpha must be in (0, 1]")
-        tol = 1e-9
-        if not 0 < self.eps <= self.d / 6 + tol:
+        if not 0 < self.eps <= self.d / 6 + _TOL:
             raise ValueError("need 0 < eps <= d/6")
-        if self.gamma > 0.25 + tol:
+        if self.gamma > 0.25 + _TOL:
             raise ValueError("gamma must be at most 1/4")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
@@ -140,29 +137,23 @@ class PipelineConfig:
             raise ValueError("c must be in (0, 1]")
         if not 0 < alpha <= 1:
             raise ValueError("alpha must be in (0, 1]")
-        d_ = d if d is not None else alpha * c / 9
-        eps_ = eps if eps is not None else min(0.1 * (d_ / 2), d_ / 6, 3 * d_ / (2 * c))
-        gamma_ = gamma if gamma is not None else alpha / 4
+        d_, eps_, gamma_ = _chain(c, alpha, d)
         return cls(
-            c=c,
-            alpha=alpha,
-            d=d_,
-            eps=eps_,
-            gamma=gamma_,
-            t=t,
-            seed=seed,
-            overrides={"d": d, "eps": eps, "gamma": gamma},
+            c, alpha, d_, eps_ if eps is None else eps, gamma_ if gamma is None else gamma, t, seed
         )
 
     def with_alpha(self, alpha: float) -> "PipelineConfig":
-        ov = {k: v for k, v in self.overrides.items() if v is not None}
-        try:
-            return PipelineConfig.derive(self.c, alpha, t=self.t, seed=self.seed, **ov)
-        except ValueError:
-            # an explicit eps can violate eps <= d/6 once d is re-derived; let
-            # the chain recompute it
-            ov.pop("eps", None)
-            return PipelineConfig.derive(self.c, alpha, t=self.t, seed=self.seed, **ov)
+        """This config at another alpha. Each of d, eps and gamma that equals
+        the chain's value at self.alpha (eps: from self.d) is derived again at
+        alpha; any other value is kept, except an eps above the new d/6."""
+        d_here = _chain(self.c, self.alpha)[0]
+        _, eps_here, gamma_here = _chain(self.c, self.alpha, self.d)
+        d, eps, gamma = _chain(self.c, alpha, None if self.d == d_here else self.d)
+        if self.eps != eps_here and self.eps <= d / 6 + _TOL:
+            eps = self.eps
+        if self.gamma != gamma_here:
+            gamma = self.gamma
+        return PipelineConfig(self.c, alpha, d, eps, gamma, self.t, self.seed)
 
 
 # --------------------------------------------------------------------- results
@@ -457,10 +448,7 @@ def _regularity_cycles(
     hg = h.to_graph()
     f = fractional_matching(hg)
     rep.mu_f = f.value
-    try:
-        deficiency, _ = max_deficiency(hg)
-    except SizeLimitError:
-        deficiency = t - 2 * f.value  # same quantity by the deficiency formula
+    deficiency = t - 2 * f.value  # max_deficiency(hg), by the fractional Tutte-Berge formula
     rep.deficiency_ok = deficiency <= _dec(cfg.beta) * t
     if not rep.deficiency_ok:
         rep.note(f"cluster-graph deficiency {deficiency} exceeds beta*t")
@@ -674,48 +662,45 @@ def _absorb(
     ww' with p_i ~ w and w' ~ p_{i+1}; in a bipartite graph consecutive path
     vertices lie on opposite sides, so only the edge can fit there.
     Deterministic (smallest w, then smallest w', then first position)."""
-    absorbed = 0
-    changed = True
-    while changed and free:
-        changed = False
-        fmask = mask_of(free)
-        for idx, p in enumerate(paths):
-            vs = p.vertices
+    seqs = [list(p.vertices) for p in paths]
+    fmask = mask_of(free)
+    while fmask:
+        before = fmask
+        for vs in seqs:
             for at_tail in (True, False):
                 ext = g.adjacency_mask(vs[-1 if at_tail else 0]) & fmask
                 if ext:
                     v = (ext & -ext).bit_length() - 1
-                    vs = vs + (v,) if at_tail else (v,) + vs
-                    free.discard(v)
+                    vs.insert(len(vs) if at_tail else 0, v)
                     fmask &= ~(1 << v)
-                    absorbed += 1
-                    changed = True
-            if vs is not p.vertices:
-                paths[idx] = Path(vs)
-        if changed or not free:
+        if fmask != before:
             continue
         # no end extends; splice a run (w,), then (w, w'), between consecutive
         # path vertices. occ[w][idx] has bit i set iff w ~ p_i on path idx; it
         # is built at most once per round
         occ: dict[int, list[int]] = {}
-        order = sorted(free)
+        order = list(bits(fmask))
         pairs = ((w, u) for w in order for u in bits(g.adjacency_mask(w) & fmask))
         for run in itertools.chain(((w,) for w in order), pairs):
             for w in run:
                 if w not in occ:
                     aw = g.adjacency_mask(w)
-                    occ[w] = [sum(1 << i for i, v in enumerate(p.vertices) if (aw >> v) & 1) for p in paths]
-            for idx, p in enumerate(paths):
+                    occ[w] = [sum(1 << i for i, v in enumerate(vs) if (aw >> v) & 1) for vs in seqs]
+            for idx, vs in enumerate(seqs):
                 gap = occ[run[0]][idx] & (occ[run[-1]][idx] >> 1)
                 if gap:
                     i = (gap & -gap).bit_length() - 1
-                    paths[idx] = Path(p.vertices[: i + 1] + run + p.vertices[i + 1 :])
-                    free.difference_update(run)
-                    absorbed += len(run)
-                    changed = True
+                    vs[i + 1 : i + 1] = run
+                    fmask &= ~mask_of(run)
                     break
-            if changed:
+            if fmask != before:
                 break
+        if fmask == before:
+            break
+    # each changed path gained vertices; build its Path once
+    paths[:] = [p if len(vs) == len(p) else Path(tuple(vs)) for p, vs in zip(paths, seqs)]
+    absorbed = len(free) - fmask.bit_count()
+    free.intersection_update(bits(fmask))
     return paths, absorbed
 
 

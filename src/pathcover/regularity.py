@@ -11,7 +11,7 @@ scores all draws and gives the chosen draw's pair counts.
 
 Regularity verdicts come in two modes:
 
-* exact: both sides at most `exact_cap` vertices; all large sub-pairs are
+* exact: both sides at most `EXACT_CAP` vertices; all large sub-pairs are
   enumerated with bitset counting, so the verdict is decisive.
 * heuristic: witness candidates are built from degree-deviation classes
   (prefixes of the degree-sorted orders, scanned from all four corners).
@@ -203,7 +203,6 @@ def is_eps_regular(
     a: Iterable[int],
     b: Iterable[int],
     eps: Threshold,
-    exact_cap: int = EXACT_CAP,
 ) -> RegularityVerdict:
     """Is (a, b) an eps-regular pair?
 
@@ -220,7 +219,7 @@ def is_eps_regular(
         raise ValueError("eps must be positive")
     a_list = sorted(bits(am))
     b_list = sorted(bits(bm))
-    if len(a_list) <= exact_cap and len(b_list) <= exact_cap:
+    if len(a_list) <= EXACT_CAP and len(b_list) <= EXACT_CAP:
         return _exact_check(g, a_list, b_list, epsf)
     return _heuristic_check(g, a_list, b_list, epsf)
 

@@ -63,6 +63,13 @@ def test_degree_from_ratio_snaps_decimals():
     assert degree_from_ratio(400, 0.9975) == 399
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 10**6), st.floats(1e-12, 1.0, exclude_min=True))
+def test_degree_from_ratio_is_the_integer_ceiling_of_the_snapped_ratio(n, c):
+    # ceil(c*n) of the 9-decimal c, in integers only
+    assert degree_from_ratio(n, c) == -((-n * round(c * 10**9)) // 10**9)
+
+
 def test_bipartite_full_degree_is_complete():
     g = random_bipartite_regular(GenSpec(8, 4, "random-bipartite-regular", seed=2))
     assert g.m == 16

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathcover._bits import mask_of, mix64
+from pathcover.cli import write_cover_file
 from pathcover.generators import (
     GenSpec,
     degree_from_ratio,
@@ -83,6 +86,90 @@ def test_with_alpha_rederives():
     half = cfg.with_alpha(0.05)
     assert half.d == pytest.approx(cfg.d / 2)
     assert half.seed == cfg.seed
+
+
+def _as_built(cfg, **changes):
+    """The config built directly from its fields, with `changes` applied."""
+    fields = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+    return PipelineConfig(**{**fields, **changes})
+
+
+def test_equal_configs_give_equal_covers():
+    # K120 with d and eps set by hand: derive, the constructor and replace
+    # build the same seven values, and the alpha/2 cycle stage keeps the given
+    # d and eps in each, so none reports |V_0| above eps*n
+    c = 0.991666666  # 119/120 rounded down to 9 decimals
+    g = extremal_family(GenSpec(120, 119, "disjoint-cliques", 0))
+    derived = PipelineConfig.derive(c, 0.3, d=0.3, eps=0.04)
+    configs = (
+        derived,
+        _as_built(derived),
+        dataclasses.replace(PipelineConfig.derive(c, 0.3), d=0.3, eps=0.04),
+    )
+    assert len(set(configs)) == 1
+    outs = set()
+    for cfg in configs:
+        cover, rep = path_cover(g, cfg)
+        assert not any("|V_0|" in note for note in rep.notes)
+        outs.add((rep.to_kv_text(), write_cover_file(cover)))
+    assert len(outs) == 1
+
+
+def test_route_cell_runs_the_route_from_a_directly_built_config():
+    # the n=2400 route cell: its d and eps reach the alpha/2 cycle stage however
+    # the config was built
+    g = generate(GenSpec(2400, degree_from_ratio(2400, 0.6), "random-regular", 0))
+    derived = PipelineConfig.derive(0.6, 0.3, d=0.55, eps=0.09, t=4)
+    configs = (
+        derived,
+        _as_built(derived),
+        _as_built(PipelineConfig.derive(0.6, 0.3), d=0.55, eps=0.09, t=4),
+    )
+    outs = set()
+    for cfg in configs:
+        cover, rep = path_cover(g, cfg)
+        route = (rep.method, len(cover.paths), rep.uncovered, rep.connections)
+        assert route == ("regularity-pipeline", 1, 0, 3)
+        outs.add((rep.to_kv_text(), write_cover_file(cover)))
+    assert len(outs) == 1
+
+
+def _record_rule(c, alpha, given, t, new_alpha):
+    """with_alpha as it was when derive recorded its given values: derive at
+    the new alpha with them, and without eps if that violates eps <= d/6."""
+    try:
+        return PipelineConfig.derive(c, new_alpha, t=t, seed=5, **given)
+    except ValueError:
+        given = {k: v for k, v in given.items() if k != "eps"}
+        return PipelineConfig.derive(c, new_alpha, t=t, seed=5, **given)
+
+
+def test_with_alpha_matches_the_record_rule():
+    checked = 0
+    grid = itertools.product(
+        (0.1, 0.15, 0.3, 1 / 3, 0.45, 0.6, 0.999166666, 1),
+        (0.05, 0.1, 0.2, 0.3, 1),
+        (None, 0.01, 0.3, 0.55),
+        (None, 0.0005, 0.001, 0.003, 0.04, 0.09),
+        (None, 0.1, 0.25),
+        (None, 4),
+    )
+    for c, alpha, d, eps, gamma, t in grid:
+        given = {k: v for k, v in (("d", d), ("eps", eps), ("gamma", gamma)) if v is not None}
+        try:
+            cfg = PipelineConfig.derive(c, alpha, t=t, seed=5, **given)
+        except ValueError:
+            continue
+        # the chain's values at alpha, eps from cfg.d; a given value equal to
+        # one of them is derived again at the new alpha, unlike the record rule
+        chain = PipelineConfig.derive(c, alpha, d=cfg.d)
+        chain_values = {"d": PipelineConfig.derive(c, alpha).d, "eps": chain.eps, "gamma": chain.gamma}
+        if any(v == chain_values[k] for k, v in given.items()):
+            continue
+        for new_alpha in (alpha / 2, alpha / 3):
+            assert cfg.with_alpha(new_alpha) == _record_rule(c, alpha, given, t, new_alpha)
+            checked += 1
+    assert checked == 6928  # the grid cases that reach the comparison
 
 
 def test_limits_use_decimal_c():

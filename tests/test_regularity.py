@@ -326,12 +326,14 @@ def test_heuristic_mode_on_large_half_graph():
     witness_is_violator(g, range(30), range(30, 60), EPS14, v.witness)
 
 
-def test_heuristic_witness_implies_exact_irregular():
+def test_heuristic_witness_implies_exact_irregular(monkeypatch):
     # force heuristic mode on a small pair; the witness it finds must also be
     # confirmed by the decisive exhaustive check
     g = half_graph(7)
     a, b = range(7), range(7, 14)
-    heur = is_eps_regular(g, a, b, EPS14, exact_cap=0)
+    with monkeypatch.context() as m:
+        m.setattr(regularity, "EXACT_CAP", 0)
+        heur = is_eps_regular(g, a, b, EPS14)
     assert heur.mode == "heuristic"
     assert not heur.regular  # degree-prefix family exposes the half-graph
     witness_is_violator(g, a, b, EPS14, heur.witness)
