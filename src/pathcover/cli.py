@@ -156,29 +156,21 @@ def _read_config(path: str) -> dict[str, float]:
 
 def _resolve_cfg(args, g: Graph) -> PipelineConfig:
     """flags > config file > derived defaults."""
-    file_vals = _read_config(args.config) if args.config else {}
-
-    def pick(name: str, flag_val):
-        if flag_val is not None:
-            return flag_val
-        return file_vals.get(name)
-
-    c = pick("c", args.c)
+    vals = _read_config(args.config) if args.config else {}
+    vals.update((key, getattr(args, key)) for key in CONFIG_KEYS if getattr(args, key) is not None)
+    c = vals.get("c")
     if c is None:
         k = g.regular_degree()
         c = k / g.n
         if degree_from_ratio(g.n, c) != k:  # k/n rounds up at 9 decimals: take the 9-decimal floor
             c = (k * 10**9 // g.n) / 10**9
-    alpha = pick("alpha", args.alpha)
-    if alpha is None:
-        alpha = 0.1
-    t = pick("t", args.t)
+    t = vals.get("t")
     return PipelineConfig.derive(
         c,
-        alpha,
-        d=pick("d", args.d),
-        eps=pick("eps", args.eps),
-        gamma=pick("gamma", args.gamma),
+        vals.get("alpha", 0.1),
+        d=vals.get("d"),
+        eps=vals.get("eps"),
+        gamma=vals.get("gamma"),
         t=int(t) if t is not None else None,
         seed=args.seed,
     )
@@ -435,12 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cov = sub.add_parser("cover", help="cover a regular graph with few paths")
     p_cov.add_argument("graph")
     p_cov.add_argument("--bipartite", action="store_true")
-    p_cov.add_argument("--c", type=float)
-    p_cov.add_argument("--alpha", type=float)
-    p_cov.add_argument("--d", type=float)
-    p_cov.add_argument("--eps", type=float)
-    p_cov.add_argument("--gamma", type=float)
-    p_cov.add_argument("--t", type=int)
+    for key in CONFIG_KEYS:
+        p_cov.add_argument(f"--{key}", type=int if key == "t" else float)
     p_cov.add_argument("--seed", type=int, default=0)
     p_cov.add_argument("--config", help="key=value file; flags win over it")
     p_cov.add_argument("-o", "--output")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 from ._bits import bits, mask_of, mix64, nth_bit
 from .graph import Graph, _vertex_mask
@@ -278,6 +278,23 @@ def _dp_spanning(adj: Sequence[int], active: int, cycle: bool) -> Optional[list[
 # ---------------------------------------------------------------- public ops
 
 
+def _spanning(
+    adj: Sequence[int], active: int, n_active: int, seed: int, total: int, close: bool
+) -> tuple[Union[Path, Cycle, None], Union[Path, Cycle, None]]:
+    """(spanning path or, with `close`, spanning cycle of `active`, or None;
+    the longest found). Heuristic first; up to EXHAUSTIVE_CAP vertices a
+    failed heuristic falls back to exact DP."""
+    kind = Cycle if close else Path
+    found = _longest_search(adj, active, n_active, seed, total, close)
+    if found and len(found) == n_active:
+        return (kind(tuple(found)),) * 2
+    if n_active <= EXHAUSTIVE_CAP:
+        exact = _dp_spanning(adj, active, cycle=close)
+        if exact is not None:
+            return (kind(tuple(exact)),) * 2
+    return None, kind(tuple(found)) if found else None
+
+
 def hamiltonian_path(
     g: Graph,
     budget: Optional[int] = None,
@@ -290,19 +307,9 @@ def hamiltonian_path(
     """
     if g.n == 0:
         raise ValueError("empty graph")
-    active = (1 << g.n) - 1
     total = budget if budget is not None else 50 * 10 * g.n
     adj = [g.adjacency_mask(v) for v in range(g.n)]
-    found = _longest_search(adj, active, g.n, mix64(seed, 0x9A7B), total, close=False)
-    best = Path(tuple(found)) if found else None
-    if found and len(found) == g.n:
-        return PathSearch(best, best)
-    if g.n <= EXHAUSTIVE_CAP:
-        exact = _dp_spanning(adj, active, cycle=False)
-        if exact is not None:
-            p = Path(tuple(exact))
-            return PathSearch(p, p)
-    return PathSearch(None, best)
+    return PathSearch(*_spanning(adj, (1 << g.n) - 1, g.n, mix64(seed, 0x9A7B), total, close=False))
 
 
 def spanning_cycle_bipartite(
@@ -325,7 +332,6 @@ def spanning_cycle_bipartite(
     if nx != ny or nx < 2:
         raise ValueError(f"need equal sides of size >= 2, got {nx} and {ny}")
     active = xm | ym
-    n_active = 2 * nx
     adj = [0] * g.n
     for v in bits(xm):
         adj[v] = g.adjacency_mask(v) & ym
@@ -335,16 +341,25 @@ def spanning_cycle_bipartite(
     if any(adj[v].bit_count() < 2 for v in bits(active)):
         return CycleSearch(None, None)
     total = budget if budget is not None else 50 * 10 * nx
-    found = _longest_search(adj, active, n_active, mix64(seed, 0xC1C7E), total, close=True)
-    best = Cycle(tuple(found)) if found else None
-    if found and len(found) == n_active:
-        return CycleSearch(best, best)
-    if n_active <= EXHAUSTIVE_CAP:
-        exact = _dp_spanning(adj, active, cycle=True)
-        if exact is not None:
-            cyc = Cycle(tuple(exact))
-            return CycleSearch(cyc, cyc)
-    return CycleSearch(None, best)
+    return CycleSearch(*_spanning(adj, active, 2 * nx, mix64(seed, 0xC1C7E), total, close=True))
+
+
+def _longest(
+    g: Graph, within: Optional[Iterable[int]], budget: Optional[int], seed: int, close: bool
+) -> Optional[list[int]]:
+    """The longest path or, with `close`, the longest cycle that the search
+    finds inside `within` (default: all vertices), as a vertex list."""
+    active = _vertex_mask(g, within) if within is not None else (1 << g.n) - 1
+    if not active:
+        raise ValueError("empty vertex set")
+    if budget is not None and budget < 1:
+        raise ValueError(f"budget must be positive, got {budget}")
+    n_active = active.bit_count()
+    if close and n_active < 3:
+        return None
+    adj = [g.adjacency_mask(v) & active if (active >> v) & 1 else 0 for v in range(g.n)]
+    total = budget if budget is not None else 20 * 10 * n_active
+    return _longest_search(adj, active, n_active, seed, total, close)
 
 
 def longest_path(
@@ -354,16 +369,7 @@ def longest_path(
     seed: int = 0,
 ) -> Path:
     """Heuristic longest path inside `within` (default: all vertices)."""
-    active = _vertex_mask(g, within) if within is not None else (1 << g.n) - 1
-    if not active:
-        raise ValueError("empty vertex set")
-    if budget is not None and budget < 1:
-        raise ValueError(f"budget must be positive, got {budget}")
-    n_active = active.bit_count()
-    adj = [g.adjacency_mask(v) if (active >> v) & 1 else 0 for v in range(g.n)]
-    total = budget if budget is not None else 20 * 10 * n_active
-    found = _longest_search(adj, active, n_active, mix64(seed, 0x9A7B), total, close=False)
-    return Path(tuple(found or ()))
+    return Path(tuple(_longest(g, within, budget, mix64(seed, 0x9A7B), close=False) or ()))
 
 
 def longest_cycle(
@@ -373,17 +379,7 @@ def longest_cycle(
     seed: int = 0,
 ) -> Optional[Cycle]:
     """Heuristic long cycle inside `within`; None when none was closed."""
-    active = _vertex_mask(g, within) if within is not None else (1 << g.n) - 1
-    if not active:
-        raise ValueError("empty vertex set")
-    if budget is not None and budget < 1:
-        raise ValueError(f"budget must be positive, got {budget}")
-    n_active = active.bit_count()
-    if n_active < 3:
-        return None
-    adj = [g.adjacency_mask(v) & active if (active >> v) & 1 else 0 for v in range(g.n)]
-    total = budget if budget is not None else 20 * 10 * n_active
-    found = _longest_search(adj, active, n_active, mix64(seed, 0x10C), total, close=True)
+    found = _longest(g, within, budget, mix64(seed, 0x10C), close=True)
     return Cycle(tuple(found)) if found is not None else None
 
 

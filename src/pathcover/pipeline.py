@@ -729,22 +729,6 @@ def _reservoir_relaxed(g: Graph, cfg: PipelineConfig, eps0: float, rep: RunRepor
     return frozenset()
 
 
-def _finalize(
-    g: Graph,
-    paths: list[Path],
-    limit: int,
-    alpha_cap: int,
-    rep: RunReport,
-) -> PathCover:
-    covered = _covered_vertices(paths)
-    uncovered = frozenset(range(g.n)) - covered
-    rep.final_count = len(paths)
-    rep.covered = len(covered)
-    rep.uncovered = len(uncovered)
-    rep.success = len(paths) <= limit and len(uncovered) <= alpha_cap
-    return PathCover(paths, uncovered)
-
-
 def path_cover(g: Graph, cfg: PipelineConfig) -> tuple[PathCover, RunReport]:
     """At most floor(1/c) vertex-disjoint paths covering all but alpha*n
     vertices of a ceil(c*n)-regular graph (success case; shortfalls are
@@ -801,7 +785,7 @@ def _path_stage(
             rest = sorted(xs + ys)
             rep.note(f"held out {drop} vertices to balance the working sides")
     cycset, crep = _cycle_stage(g, rest, cfg.with_alpha(cfg.alpha / 2), strict_window=False)
-    # the cycle stage's diagnostics, on the whole graph; _finalize recounts the cover
+    # the cycle stage's diagnostics, on the whole graph; _connect_absorb recounts the cover
     rep = replace(
         crep, n=n, notes=rep.notes + crep.notes, reservoir_size=len(r), reservoir_vertices=r
     )
@@ -809,16 +793,14 @@ def _path_stage(
     if not paths:
         paths = _strip(g, longest_path, rest, (mix64(cfg.seed, 2), 0x57A1), 3 * (limit + 1))
         rep.method = "greedy-fallback"
-    paths = _connect_absorb(g, paths, r, limit, rep, sides)
-    cover = _finalize(g, paths, limit, alpha_cap, rep)
+    cover = _connect_absorb(g, paths, r, limit, alpha_cap, rep, sides)
 
     # labeled fallback: strip paths directly with a fresh seed, then the same
     # connection loop; the better result wins
     if not rep.success:
         fb_rep = RunReport(n=n, method="greedy-fallback", reservoir_size=len(r), reservoir_vertices=r)
         fb_paths = _strip(g, longest_path, rest, (mix64(cfg.seed, 3, 0), 0x57A1), 3 * (limit + 1))
-        fb_paths = _connect_absorb(g, fb_paths, r, limit, fb_rep, sides)
-        fb_cover = _finalize(g, fb_paths, limit, alpha_cap, fb_rep)
+        fb_cover = _connect_absorb(g, fb_paths, r, limit, alpha_cap, fb_rep, sides)
         if _better(fb_rep, fb_cover, rep, cover):
             fb_rep.notes = rep.notes + fb_rep.notes
             cover, rep = fb_cover, fb_rep
@@ -830,9 +812,13 @@ def _connect_absorb(
     paths: list[Path],
     r: frozenset[int],
     limit: int,
+    alpha_cap: int,
     rep: RunReport,
     sides: Optional[tuple[int, int]],
-) -> list[Path]:
+) -> PathCover:
+    """Connect, join and absorb until a round changes nothing (at most 4
+    rounds), then count the cover into `rep`: success is at most `limit`
+    paths and at most `alpha_cap` uncovered vertices."""
     rset = r
     for _ in range(4):
         before = (len(paths), _covered_count(paths))
@@ -850,7 +836,12 @@ def _connect_absorb(
         if (len(paths), _covered_count(paths)) == before:
             break
     rep.reservoir_spent = rep.connections
-    return paths
+    uncovered = frozenset(range(g.n)) - _covered_vertices(paths)
+    rep.final_count = len(paths)
+    rep.covered = g.n - len(uncovered)
+    rep.uncovered = len(uncovered)
+    rep.success = len(paths) <= limit and len(uncovered) <= alpha_cap
+    return PathCover(paths, uncovered)
 
 
 def _covered_vertices(units: Sequence[Union[Path, Cycle]]) -> set[int]:
@@ -937,7 +928,7 @@ def verify_cover(
         )
     )
 
-    covered = set(seen)
+    covered = _covered_vertices(units)
     declared = set(cover.uncovered)
     consistent = (covered | declared == set(range(g.n))) and not (covered & declared)
     items.append(

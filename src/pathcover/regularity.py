@@ -6,8 +6,8 @@ existence argument would; instead partitions are drawn at random (best of
 several draws by mean-square density, or one draw on a complete or edgeless
 working set, where every draw ties) and every pair the pipeline relies on is
 verified per instance. A partition may cover a working subset, read in
-place. One chunked product of its adjacency with every draw's one-hot labels
-scores all draws and gives the chosen draw's pair counts.
+place. One chunked product of its adjacency with every draw's cluster
+indicators scores all draws and gives the chosen draw's pair counts.
 
 Regularity verdicts come in two modes:
 
@@ -101,9 +101,6 @@ class ClusterGraph:
     def to_graph(self) -> Graph:
         return Graph(self.t, list(self.edges))
 
-    def __hash__(self):
-        return hash((self.t, self.threshold, tuple(sorted(self.edges))))
-
 
 def equitable_partition(g: Graph, t: int, seed: int = 0) -> Partition:
     """Random equitable partition into t clusters of even size m = floor(n/t)
@@ -129,9 +126,10 @@ def _partition_with_counts(
     `within` only draw 0 is made: every pair of every draw has e(V_i, V_j) =
     m^2 (or 0), so all draws tie. The draws are scored by one product A @ P:
     A is the 0/1 adjacency of `within`, unpacked ROW_CHUNK rows at a time as
-    float32, and P holds the one-hot cluster labels of every draw. Each entry
-    of A @ P counts at most n' < 2**24 ones, so it is exact; the per-draw sums
-    over each cluster's rows are taken in int64, since e(V_i, V_j) reaches m^2.
+    float32, and P holds every draw's cluster indicators, set from its
+    shuffle. Each entry of A @ P counts at most n' < 2**24 ones, so it is
+    exact; each draw sums its clusters' rows in int64, since e(V_i, V_j)
+    reaches m^2.
     """
     n = len(within)
     if not 1 <= t <= n:
@@ -145,18 +143,17 @@ def _partition_with_counts(
         perm = list(range(n))
         random.Random(mix64(seed, 0x9A27, round_)).shuffle(perm)
         perms[round_] = perm
-    # labels[pos, round]: cluster of working position pos, or t for V_0
-    labels = np.full((n, draws), t, dtype=np.intp)
-    labels[perms[:, : t * m].T, np.arange(draws)] = (np.arange(t * m) // m)[:, None]
-    onehot = labels[:, :, None] == np.arange(t)  # [pos, round, cluster]
-    p = onehot.reshape(n, draws * t).astype(np.float32)
+    # p[pos, round*t + i]: is working position pos in cluster i of that draw
+    p = np.zeros((n, draws * t), dtype=np.float32)
+    p[perms[:, : t * m], np.arange(draws)[:, None] * t + np.arange(t * m) // m] = 1
     cols = np.asarray(within)
-    counts = np.zeros((draws, t, t), dtype=np.int64)
+    ap = np.empty((n, draws * t), dtype=np.float32)
     for lo in range(0, n, ROW_CHUNK):
         rows = within[lo : lo + ROW_CHUNK]
-        ap = _adjacency_block(g, rows, cols).astype(np.float32) @ p
-        ap = ap.astype(np.int64).reshape(len(rows), draws, t).transpose(1, 0, 2)
-        counts += onehot[lo : lo + ROW_CHUNK].transpose(1, 2, 0).astype(np.int64) @ ap
+        ap[lo : lo + len(rows)] = _adjacency_block(g, rows, cols).astype(np.float32) @ p
+    # counts[round, i, j]: ap's column (round, j) summed over cluster i's rows
+    member = ap.reshape(n, draws, t)[perms[:, : t * m], np.arange(draws)[:, None]]
+    counts = member.reshape(draws, t, m, t).sum(axis=2, dtype=np.int64)
     pairs = [(i, j) for i in range(t) for j in range(i + 1, t)]
     best, best_index = 0, -1.0
     for round_, e in enumerate(counts.tolist()):
@@ -275,11 +272,13 @@ def _heuristic_check(g: Graph, a_list: list[int], b_list: list[int], eps: Fracti
     min_x = (p * na) // q + 1  # smallest size with x*q > p*na
     min_y = (p * nb) // q + 1
     candidates: list[tuple[float, np.ndarray, np.ndarray, int, int]] = []
-    for rows in (row_asc, row_asc[::-1]):
-        for cols in (col_asc, col_asc[::-1]):
-            sub = mat[rows][:, cols]
-            cum = sub.cumsum(axis=0).cumsum(axis=1)
-            dev = np.abs(cum / area - d_ab)
+    # pre[i, j]: ones in the first i rows and j columns in ascending order;
+    # the corners that start from the end of an order are differences of it
+    pre = np.zeros((na + 1, nb + 1), dtype=np.int64)
+    pre[1:, 1:] = mat[row_asc][:, col_asc].cumsum(axis=0).cumsum(axis=1)
+    for rows, by_rows in ((row_asc, pre), (row_asc[::-1], pre[na] - pre[::-1])):
+        for cols, cum in ((col_asc, by_rows), (col_asc[::-1], by_rows[:, [nb]] - by_rows[:, ::-1])):
+            dev = np.abs(cum[1:, 1:] / area - d_ab)
             dev[: min_x - 1, :] = -1.0
             dev[:, : min_y - 1] = -1.0
             flat = int(dev.argmax())

@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from pathcover.cli import CSV_HEADER, _berge_tutte_instances, main, read_cover_file, write_cover_file
+from pathcover import cli
+from pathcover.cli import CONFIG_KEYS, CSV_HEADER, _berge_tutte_instances, main, read_cover_file, write_cover_file
 from pathcover.graph import read_graph
 from pathcover.hamilton import Path
 from pathcover.pipeline import PathCover
@@ -281,6 +282,37 @@ def test_config_file_precedence(tmp_path, capsys):
     assert code == 0
     assert "alpha=0.15" in err
     assert "c=0.5" in err
+
+
+FILE_VALUES = {"c": 0.5, "alpha": 0.2, "d": 0.3, "eps": 0.04, "gamma": 0.05, "t": 4}
+FLAG_VALUES = {"c": "0.49", "alpha": "0.15", "d": "0.36", "eps": "0.03", "gamma": "0.1", "t": "2"}
+
+
+@pytest.mark.parametrize("key", CONFIG_KEYS)
+def test_cover_flag_wins_over_config_file(tmp_path, capsys, monkeypatch, key):
+    assert set(FILE_VALUES) == set(FLAG_VALUES) == set(CONFIG_KEYS)
+    gfile = tmp_path / "g.txt"
+    run(capsys, "generate", "--family", "random-regular", "--n", "60", "--c", "0.5", "-o", str(gfile))
+    cfgfile = tmp_path / "cover.cfg"
+    cfgfile.write_text("".join(f"{k}={v}\n" for k, v in FILE_VALUES.items()))
+    seen = []
+    real = cli.path_cover
+    monkeypatch.setattr(cli, "path_cover", lambda g, cfg: seen.append(cfg) or real(g, cfg))
+    code, _, err = run(capsys, "cover", str(gfile), "--config", str(cfgfile), f"--{key}", FLAG_VALUES[key])
+    assert code in (0, 1) and "error" not in err
+    (cfg,) = seen
+    for name, file_value in FILE_VALUES.items():
+        want = float(FLAG_VALUES[key]) if name == key else file_value
+        assert getattr(cfg, name) == want, name
+
+
+def test_cover_t_flag_rejects_a_fraction(tmp_path, capsys):
+    gfile = tmp_path / "g.txt"
+    run(capsys, "generate", "--family", "random-regular", "--n", "40", "--c", "0.5", "-o", str(gfile))
+    with pytest.raises(SystemExit) as exc:
+        main(["cover", str(gfile), "--t", "2.5"])
+    assert exc.value.code == 2
+    assert "--t: invalid int value: '2.5'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -530,6 +530,18 @@ def test_verify_catches_shared_vertex():
     assert any(i.name == "disjoint" and not i.ok for i in chk.items)
 
 
+@pytest.mark.parametrize(
+    "units, declared",
+    [([(0, 1), (1, 2), (3,)], frozenset()), ([(0, 1), (1, 2)], frozenset({3}))],
+)
+def test_verify_shared_vertex_keeps_later_units_covered(units, declared):
+    # the disjoint scan stops at vertex 1; the units still cover 0..3
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    chk = verify_cover(g, PathCover([Path(u) for u in units], declared))
+    status = {i.name: i.ok for i in chk.items}
+    assert status == {"adjacency": True, "distinct-vertices": True, "disjoint": False, "uncovered-consistent": True}
+
+
 def test_verify_catches_non_edge():
     g = Graph(4, [(0, 1)])
     cover = PathCover([Path((0, 1, 2))], frozenset({3}))
