@@ -222,8 +222,11 @@ def extremal_family(spec: GenSpec) -> Graph:
     if spec.family == "disjoint-cliques":
         # row masks of blocks of k+1 vertices; the last takes the n % (k+1) leftovers
         cuts = [b * (k + 1) for b in range(n // (k + 1))] + [n]
-        adj = tuple(((1 << hi) - (1 << lo)) ^ (1 << v) for lo, hi in zip(cuts, cuts[1:]) for v in range(lo, hi))
-        return Graph._from_masks(adj, None)
+        adj: list[int] = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            block = (1 << hi) - (1 << lo)
+            adj += [block ^ (1 << v) for v in range(lo, hi)]
+        return Graph._from_masks(tuple(adj), None)
     if spec.family == "disjoint-bicliques":
         half = n // 2
         label = (np.arange(n) % half) // k

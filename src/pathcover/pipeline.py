@@ -106,10 +106,14 @@ class PipelineConfig:
             raise ValueError("c must be in (0, 1]")
         if not 0 < self.alpha <= 1:
             raise ValueError("alpha must be in (0, 1]")
+        if not 0 < self.d <= 1:
+            raise ValueError("d must be in (0, 1]")
         if not 0 < self.eps <= self.d / 6 + _TOL:
             raise ValueError("need 0 < eps <= d/6")
-        if self.gamma > 0.25 + _TOL:
-            raise ValueError("gamma must be at most 1/4")
+        if not 0 <= self.gamma <= 0.25 + _TOL:
+            raise ValueError("gamma must be in [0, 1/4]")
+        if self.t is not None and (type(self.t) is bool or not isinstance(self.t, int) or self.t < 1):
+            raise ValueError(f"t must be None or an integer >= 1, got {self.t!r}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
@@ -256,7 +260,7 @@ def reservoir(
     Sampled by independent inclusion with probability gamma, rejected until
     both windows hold, at most RESERVOIR_ATTEMPTS times.
     """
-    return _reservoir_level(g, g.regular_degree(), gamma, eps, _reservoir_draws(g.n, gamma, seed))
+    return _reservoir_level(g, g.regular_degree(), gamma, eps, _reservoir_draws(g.n, gamma, seed), {})
 
 
 def _reservoir_draws(n: int, gamma: float, seed: int) -> Iterator[tuple[int, int]]:
@@ -276,9 +280,12 @@ def _reservoir_draws(n: int, gamma: float, seed: int) -> Iterator[tuple[int, int
 
 
 def _reservoir_level(
-    g: Graph, k: int, gamma: float, eps: float, draws: Iterable[tuple[int, int]]
+    g: Graph, k: int, gamma: float, eps: float, draws: Iterable[tuple[int, int]], resume: dict[int, int]
 ) -> frozenset[int]:
-    """The first of `draws` inside both windows at this eps."""
+    """The first of `draws` inside both windows at this eps. `resume` maps a
+    draw's index to the vertex where its degree scan failed at a smaller eps,
+    and is updated: the windows only widen as eps grows, so every vertex
+    before that one is inside them again, and the scan restarts there."""
     n = g.n
     if not 0 < gamma <= 1:
         raise DegenerateParameterError(f"gamma={gamma} must be in (0, 1]")
@@ -297,10 +304,14 @@ def _reservoir_level(
         raise DegenerateParameterError(
             f"no integer degree in ({float(deg_lo):.3f}, {float(deg_hi):.3f})"
         )
-    for rmask, size in draws:
+    for index, (rmask, size) in enumerate(draws):
         if not size_floor < size < size_ceil:
             continue
-        if all(deg_floor < (g.adjacency_mask(v) & rmask).bit_count() < deg_ceil for v in range(n)):
+        for v in range(resume.get(index, 0), n):
+            if not deg_floor < (g.adjacency_mask(v) & rmask).bit_count() < deg_ceil:
+                resume[index] = v
+                break
+        else:
             return frozenset(bits(rmask))
     raise ReservoirError(f"no valid reservoir in {RESERVOIR_ATTEMPTS} attempts")
 
@@ -423,14 +434,20 @@ def _regularity_cycles(
     if t < 2 or m < 8:
         rep.note(f"clusters too small (t={t}, m={m}) for the regularity route")
         return None
+    eps_f = Fraction(eps)
     # the scoring product yields the chosen draw's pair counts; both the
-    # verdicts and the cluster graph read them
-    part, counts = _partition_with_counts(g, rest, t, mix64(cfg.seed, 0x9A91))
+    # verdicts and the cluster graph read them. With closed-form verdicts it
+    # is skipped (counts None) when no pair of any draw can be regular.
+    closed_form = _single_vertex_verdict(0, m, m, eps_f) is not None
+    part, counts = _partition_with_counts(g, rest, t, mix64(cfg.seed, 0x9A91), closed_form)
     part.validate(rest)
     rep.t, rep.m, rep.v0 = part.t, part.m, len(part.exceptional)
     if len(part.exceptional) > _dec(eps) * n:
         rep.note(f"|V_0|={rep.v0} exceeds eps*n={float(eps) * n:.2f}")
-    eps_f = Fraction(eps)
+    if counts is None:
+        rep.regular_pair_fraction, rep.cluster_edges = 0.0, 0
+        rep.note("no dense regular pairs")
+        return None
     verdicts: dict[tuple[int, int], bool] = {}
     for (i, j), e in counts.items():
         verdict = _single_vertex_verdict(e, m, m, eps_f)
@@ -710,14 +727,16 @@ def _absorb(
 def _reservoir_relaxed(g: Graph, cfg: PipelineConfig, eps0: float, rep: RunReport) -> frozenset[int]:
     """Reservoir with the configured eps, doubling it on failure (reported).
     Each level returns what `reservoir` would at its eps; tee replays the
-    candidates drawn so far, so each is drawn at most once."""
+    candidates drawn so far, so each is drawn at most once, and each replayed
+    candidate's degree scan resumes where it failed at the last level."""
     k = g.regular_degree()
     draws = _reservoir_draws(g.n, cfg.gamma, mix64(cfg.seed, 0x6E5))
+    resume: dict[int, int] = {}
     eps_res = eps0
     while eps_res <= 1.0:
         draws, level = itertools.tee(draws)
         try:
-            r = _reservoir_level(g, k, cfg.gamma, eps_res, level)
+            r = _reservoir_level(g, k, cfg.gamma, eps_res, level, resume)
             if eps_res != eps0:
                 rep.note(f"reservoir accepted at relaxed eps={eps_res:.4g}")
             return r

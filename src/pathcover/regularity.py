@@ -116,20 +116,26 @@ PairCounts = dict[tuple[int, int], int]
 
 
 def _partition_with_counts(
-    g: Graph, within: Sequence[int], t: int, seed: int
-) -> tuple[Partition, PairCounts]:
+    g: Graph, within: Sequence[int], t: int, seed: int, closed_form: bool = False
+) -> tuple[Partition, Optional[PairCounts]]:
     """`equitable_partition` of the subgraph induced on the sorted ids
     `within`, in g's ids, with the chosen draw's counts e(V_i, V_j), i < j.
 
     Each draw shuffles the positions 0..n'-1 and maps them through `within`,
     as a relabelled copy of the subgraph would. On a complete or edgeless
     `within` only draw 0 is made: every pair of every draw has e(V_i, V_j) =
-    m^2 (or 0), so all draws tie. The draws are scored by one product A @ P:
-    A is the 0/1 adjacency of `within`, unpacked ROW_CHUNK rows at a time as
-    float32, and P holds every draw's cluster indicators, set from its
-    shuffle. Each entry of A @ P counts at most n' < 2**24 ones, so it is
-    exact; each draw sums its clusters' rows in int64, since e(V_i, V_j)
-    reaches m^2.
+    m^2 (or 0), so all draws tie.
+
+    With `closed_form`, the caller calls a pair regular only if e(V_i, V_j)
+    is 0 or m^2. If `_every_pair_mixed` then shows that no pair of any draw
+    is, every draw gives the caller the same result, so draw 0 is returned
+    with counts None and nothing is scored.
+
+    Otherwise the draws are scored by one product A @ P: A is the 0/1
+    adjacency of `within`, unpacked ROW_CHUNK rows at a time as float32, and
+    P holds every draw's cluster indicators, set from its shuffle. Each entry
+    of A @ P counts at most n' < 2**24 ones, so it is exact; each draw sums
+    its clusters' rows in int64, since e(V_i, V_j) reaches m^2.
     """
     n = len(within)
     if not 1 <= t <= n:
@@ -143,6 +149,8 @@ def _partition_with_counts(
         perm = list(range(n))
         random.Random(mix64(seed, 0x9A27, round_)).shuffle(perm)
         perms[round_] = perm
+    if closed_form and _every_pair_mixed(g, np.asarray(within)[perms[:, : t * m]], t, m):
+        return _draw_partition(within, perms[0].tolist(), t, m), None
     # p[pos, round*t + i]: is working position pos in cluster i of that draw
     p = np.zeros((n, draws * t), dtype=np.float32)
     p[perms[:, : t * m], np.arange(draws)[:, None] * t + np.arange(t * m) // m] = 1
@@ -163,14 +171,42 @@ def _partition_with_counts(
         index = total / len(pairs) if pairs else 0.0
         if index > best_index:
             best, best_index = round_, index
-    ids = [within[pos] for pos in perms[best].tolist()]
-    part = Partition(
+    e = counts[best].tolist()
+    return _draw_partition(within, perms[best].tolist(), t, m), {(i, j): e[i][j] for i, j in pairs}
+
+
+def _draw_partition(within: Sequence[int], perm: list[int], t: int, m: int) -> Partition:
+    """The partition a draw's shuffled positions `perm` cut from `within`."""
+    ids = [within[pos] for pos in perm]
+    return Partition(
         frozenset(ids[t * m :]),
         tuple(frozenset(ids[i * m : (i + 1) * m]) for i in range(t)),
         m,
     )
-    e = counts[best].tolist()
-    return part, {(i, j): e[i][j] for i, j in pairs}
+
+
+def _every_pair_mixed(g: Graph, clusters: np.ndarray, t: int, m: int) -> bool:
+    """Is 0 < e(V_i, V_j) < m^2 for every pair of every draw? `clusters[d]`
+    holds draw d's t clusters of m ids in a row. A vertex of V_i with both a
+    neighbour and a non-neighbour in V_j proves it; the first 8 vertices of
+    V_i are tried against V_j, then those of V_j against V_i. False if some
+    pair is left open."""
+    rows = len(clusters) * t  # row d*t + i is cluster i of draw d
+    member = np.zeros((rows, g.n), dtype=bool)
+    member[np.arange(rows).repeat(m), clusters.ravel()] = True
+    packed = np.packbits(member, axis=1, bitorder="little")
+    masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    heads = clusters.reshape(rows, m)[:, :8].tolist()
+
+    def splits(vs: list[int], mask: int) -> bool:
+        return any(0 < g.adjacency_mask(v) & mask != mask for v in vs)
+
+    return all(
+        splits(heads[i], masks[j]) or splits(heads[j], masks[i])
+        for base in range(0, rows, t)
+        for i in range(base, base + t)
+        for j in range(i + 1, base + t)
+    )
 
 
 def _every_draw_ties(g: Graph, within: Sequence[int]) -> bool:

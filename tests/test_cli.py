@@ -306,6 +306,16 @@ def test_cover_flag_wins_over_config_file(tmp_path, capsys, monkeypatch, key):
         assert getattr(cfg, name) == want, name
 
 
+@pytest.mark.parametrize("flag, value", [("--t", "0"), ("--t", "-1"), ("--gamma", "nan"), ("--d", "2")])
+def test_cover_rejects_a_parameter_outside_its_range(tmp_path, capsys, flag, value):
+    gfile = tmp_path / "g.txt"
+    run(capsys, "generate", "--family", "random-regular", "--n", "40", "--c", "0.5", "-o", str(gfile))
+    code, out, err = run(capsys, "cover", str(gfile), flag, value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_cover_t_flag_rejects_a_fraction(tmp_path, capsys):
     gfile = tmp_path / "g.txt"
     run(capsys, "generate", "--family", "random-regular", "--n", "40", "--c", "0.5", "-o", str(gfile))

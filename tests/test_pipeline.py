@@ -20,6 +20,7 @@ from pathcover.generators import (
 )
 from pathcover.graph import Graph, induced_subgraph
 from pathcover.hamilton import Cycle, Path
+from pathcover import regularity
 from pathcover.regularity import Partition, is_eps_regular
 from pathcover.pipeline import (
     CycleSet,
@@ -72,6 +73,16 @@ def test_config_invariants_enforced():
         PipelineConfig.derive(0.3, 0.1, gamma=0.3)  # gamma > 1/4
     with pytest.raises(ValueError):
         PipelineConfig.derive(0.0, 0.1)
+
+
+@pytest.mark.parametrize(
+    "given",
+    [{"t": 0}, {"t": -1}, {"t": True}, {"t": 2.0}, {"gamma": -0.1}, {"gamma": math.nan}, {"d": 2}, {"d": math.nan}],
+    ids=lambda given: ",".join(f"{k}={v}" for k, v in given.items()),
+)
+def test_config_rejects_parameters_outside_their_range(given):
+    with pytest.raises(ValueError):
+        PipelineConfig.derive(0.5, 0.1, **given)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -601,6 +612,27 @@ def test_single_vertex_verdict_matches_exact_regularity(case):
 )
 def test_single_vertex_verdict_declines_outside_its_range(na, nb, eps):
     assert _single_vertex_verdict(1, na, nb, eps) is None
+
+
+@pytest.mark.parametrize("family, c", [("random-regular", 0.3), ("random-bipartite-regular", 0.3)])
+@pytest.mark.parametrize("n", [120, 600])
+def test_skipped_scoring_gives_the_scored_cover_and_report(family, c, n, monkeypatch):
+    cover_fn = path_cover if family == "random-regular" else path_cover_bipartite
+    skipped = []
+    real_check = regularity._every_pair_mixed
+    monkeypatch.setattr(
+        regularity, "_every_pair_mixed", lambda *args: skipped.append(real_check(*args)) or skipped[-1]
+    )
+    for seed in range(4):
+        g = generate(GenSpec(n, degree_from_ratio(n, c), family, seed))
+        cfg = PipelineConfig.derive(c, 0.1, seed=seed)
+        cover, rep = cover_fn(g, cfg)
+        with monkeypatch.context() as m:
+            m.setattr(regularity, "_every_pair_mixed", lambda *args: False)
+            scored_cover, scored_rep = cover_fn(g, cfg)
+        assert rep.to_kv_text() == scored_rep.to_kv_text()
+        assert write_cover_file(cover) == write_cover_file(scored_cover)
+    assert skipped and all(skipped)  # every cover above skipped the scoring
 
 
 def test_cycle_cover_rejects_degree_window_violation():

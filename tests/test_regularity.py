@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from pathcover import regularity
 from pathcover._bits import mask_of, mix64
-from pathcover.generators import GenSpec, generate
+from pathcover.generators import GenSpec, degree_from_ratio, extremal_family, generate
 from pathcover.graph import Graph, density, induced_subgraph
+from pathcover.pipeline import _default_t
 from pathcover.regularity import (
     REFINE,
     ROW_CHUNK,
@@ -265,6 +266,79 @@ def test_every_draw_ties_decides_random_hosts_without_a_working_mask(family, k):
     with patch.object(regularity, "mask_of", wraps=mask_of) as masks:
         assert not _every_draw_ties(g, within)
     assert masks.call_count == 0
+
+
+def _every_draw_pair_counts(g, within, t, seed):
+    """e(V_i, V_j) for every pair of each of the REFINE draws, cut as
+    `_partition_with_counts` cuts them, and the partition of draw 0."""
+    m = (len(within) // t) & ~1
+    counts, first = [], None
+    for round_ in range(REFINE):
+        perm = list(range(len(within)))
+        random.Random(mix64(seed, 0x9A27, round_)).shuffle(perm)
+        ids = [within[pos] for pos in perm]
+        part = Partition(
+            frozenset(ids[t * m :]), tuple(frozenset(ids[i * m : (i + 1) * m]) for i in range(t)), m
+        )
+        first = first or part
+        counts.extend(_pair_counts(g, part).values())
+    return counts, first
+
+
+def _skip_hosts():
+    for family, cs in (("random-regular", (0.1, 0.3, 0.6)), ("random-bipartite-regular", (0.1, 0.3))):
+        for n in (40, 60, 120, 600):
+            for c in cs:
+                yield pytest.param(family, n, degree_from_ratio(n, c), id=f"{family}-{n}-c{c}")
+    for family, n, k in (
+        ("disjoint-cliques", 60, 59),  # K60
+        ("disjoint-cliques", 120, 59),  # 2 x K60
+        ("disjoint-cliques", 120, 19),
+        ("disjoint-bicliques", 120, 30),
+        ("disjoint-bicliques", 120, 10),
+    ):
+        yield pytest.param(family, n, k, id=f"{family}-{n}-k{k}")
+
+
+@pytest.mark.parametrize("family, n, k", _skip_hosts())
+def test_skipped_scoring_only_where_every_pair_of_every_draw_is_mixed(family, n, k):
+    # a skip returns draw 0 with no counts; it must never hide a pair with
+    # e in {0, m^2}, which a closed-form verdict would call regular. Where it
+    # does not skip, the scoring is the one made without `closed_form`
+    g = generate(GenSpec(n, k, family, seed=1))
+    for within in (list(range(n)), [v for v in range(n) if v % 7]):
+        for t in (_default_t(len(within)), min(len(within) // 5, 24)):
+            for seed in range(4):
+                part, counts = _partition_with_counts(g, within, t, seed, closed_form=True)
+                every, first = _every_draw_pair_counts(g, within, t, seed)
+                if counts is None:
+                    assert all(0 < e < part.m**2 for e in every)
+                    assert part == first
+                else:
+                    assert (part, counts) == _partition_with_counts(g, within, t, seed)
+
+
+@pytest.mark.parametrize("family, n, k", [("random-regular", 600, 180), ("random-bipartite-regular", 600, 90)])
+def test_scoring_is_skipped_on_random_hosts(family, n, k):
+    g = generate(GenSpec(n, k, family, seed=0))
+    part, counts = _partition_with_counts(g, range(n), _default_t(n), seed=3, closed_form=True)
+    assert counts is None and part == _every_draw_pair_counts(g, range(n), _default_t(n), 3)[1]
+
+
+@pytest.mark.parametrize(
+    "n, k, t",
+    [
+        (60, 59, 4),  # K60: one draw, every pair complete
+        (40, 19, 10),  # 2 x K20 cut into clusters of 4: some pair lies inside one clique
+    ],
+)
+def test_scoring_runs_where_some_pair_is_empty_or_complete(n, k, t):
+    g = extremal_family(GenSpec(n, k, "disjoint-cliques"))
+    m = (n // t) & ~1
+    assert any(e in (0, m * m) for e in _every_draw_pair_counts(g, range(n), t, 5)[0])
+    part, counts = _partition_with_counts(g, range(n), t, 5, closed_form=True)
+    assert counts is not None
+    assert (part, counts) == _partition_with_counts(g, range(n), t, 5)
 
 
 @st.composite
