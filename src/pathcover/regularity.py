@@ -7,7 +7,10 @@ several draws by mean-square density, or one draw on a complete or edgeless
 working set, where every draw ties) and every pair the pipeline relies on is
 verified per instance. A partition may cover a working subset, read in
 place. One chunked product of its adjacency with every draw's cluster
-indicators scores all draws and gives the chosen draw's pair counts.
+indicators scores all draws and gives the chosen draw's pair counts. A
+caller whose verdicts are closed-form (regular only with 0 or m^2 edges)
+skips that product when a cheap check proves every pair of every draw
+mixed: then every draw gives it the same result.
 
 Regularity verdicts come in two modes:
 
@@ -144,11 +147,7 @@ def _partition_with_counts(
     if m == 0:
         raise ValueError(f"clusters would be empty with t={t}, n={n}")
     draws = 1 if _every_draw_ties(g, within) else REFINE
-    perms = np.empty((draws, n), dtype=np.intp)
-    for round_ in range(draws):
-        perm = list(range(n))
-        random.Random(mix64(seed, 0x9A27, round_)).shuffle(perm)
-        perms[round_] = perm
+    perms = np.array([_shuffled(n, mix64(seed, 0x9A27, round_)) for round_ in range(draws)], dtype=np.intp)
     if closed_form and _every_pair_mixed(g, np.asarray(within)[perms[:, : t * m]], t, m):
         return _draw_partition(within, perms[0].tolist(), t, m), None
     # p[pos, round*t + i]: is working position pos in cluster i of that draw
@@ -173,6 +172,26 @@ def _partition_with_counts(
             best, best_index = round_, index
     e = counts[best].tolist()
     return _draw_partition(within, perms[best].tolist(), t, m), {(i, j): e[i][j] for i, j in pairs}
+
+
+def _shuffled(n: int, seed: int) -> list[int]:
+    """`list(range(n))` after `random.Random(seed).shuffle`. That shuffle
+    draws the swap index j of each i = n-1..1 by `getrandbits(k)`, k = (i +
+    1).bit_length(), redrawing while j > i; this makes the same calls in the
+    same order, inlined and with k fixed over each run of i, in half the time."""
+    getrandbits = random.Random(seed).getrandbits
+    x = list(range(n))
+    hi = n - 1
+    while hi > 0:
+        k = (hi + 1).bit_length()
+        lo = (1 << (k - 1)) - 2  # every i in (lo, hi] has (i + 1).bit_length() == k
+        for i in range(hi, lo, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+        hi = lo
+    return x
 
 
 def _draw_partition(within: Sequence[int], perm: list[int], t: int, m: int) -> Partition:

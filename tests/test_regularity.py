@@ -268,6 +268,14 @@ def test_every_draw_ties_decides_random_hosts_without_a_working_mask(family, k):
     assert masks.call_count == 0
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 600, 2340])
+def test_shuffled_replays_random_shuffle(n):
+    for seed in (0, 1, 2**64 - 1, mix64(5, 0x9A27, 3)):
+        perm = list(range(n))
+        random.Random(seed).shuffle(perm)
+        assert regularity._shuffled(n, seed) == perm
+
+
 def _every_draw_pair_counts(g, within, t, seed):
     """e(V_i, V_j) for every pair of each of the REFINE draws, cut as
     `_partition_with_counts` cuts them, and the partition of draw 0."""
