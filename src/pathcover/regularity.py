@@ -148,12 +148,12 @@ def _partition_with_counts(
         raise ValueError(f"clusters would be empty with t={t}, n={n}")
     draws = 1 if _every_draw_ties(g, within) else REFINE
     perms = np.array([_shuffled(n, mix64(seed, 0x9A27, round_)) for round_ in range(draws)], dtype=np.intp)
-    if closed_form and _every_pair_mixed(g, np.asarray(within)[perms[:, : t * m]], t, m):
+    cols = np.asarray(within)
+    if closed_form and _every_pair_mixed(g, cols[perms[:, : t * m]], t, m):
         return _draw_partition(within, perms[0].tolist(), t, m), None
     # p[pos, round*t + i]: is working position pos in cluster i of that draw
     p = np.zeros((n, draws * t), dtype=np.float32)
     p[perms[:, : t * m], np.arange(draws)[:, None] * t + np.arange(t * m) // m] = 1
-    cols = np.asarray(within)
     ap = np.empty((n, draws * t), dtype=np.float32)
     for lo in range(0, n, ROW_CHUNK):
         rows = within[lo : lo + ROW_CHUNK]
