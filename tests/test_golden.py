@@ -43,7 +43,7 @@ GRAPH_CASES = (
     ]
     + [
         ("random-bipartite-regular", n, degree_from_ratio(n, c), seed)
-        for n in (120, 600)
+        for n in (120, 600, 2400)
         for c in (0.15, 0.3, 0.45)
         for seed in (0, 1)
     ]
