@@ -18,6 +18,7 @@ adjacency matrix; all deterministic per seed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -49,10 +50,19 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
-        """ValueError unless the family has a graph with these n and k."""
-        n, k = self.n, self.k
+        """ValueError unless n, k and seed are integers (not bools) and the
+        family has a graph with these n and k. Stores them as Python ints."""
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        for name in ("n", "k", "seed"):
+            value = getattr(self, name)
+            try:
+                if isinstance(value, bool):
+                    raise TypeError
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        n, k = self.n, self.k
         if n <= 0 or k < 0:
             raise ValueError("need n > 0 and k >= 0")
         if not 0 <= self.seed < 2**64:
@@ -101,25 +111,36 @@ def _pairing_edges(n: int, k: int, rng: np.random.Generator, side: int = 0) -> n
     """Bool adjacency matrix of one pairing attempt with stub repair; raises _PairingStuck.
 
     With side > 0 only X = 0..side-1 is paired with Y = side..n-1."""
-    if n * n * (n * k // 2) >= 2**63:
+    m = n * k // 2  # pairs in the first, largest round
+    if ((n * n - 1) << (m - 1).bit_length()) + m - 1 >= 2**63:
         raise ValueError(f"n={n}, k={k} is too large: the pairing's sort keys would overflow int64")
+    # a round's stubs: with side > 0 the X-stubs, then the Y-stubs facing them;
+    # after a round, the leftover pairs' smaller ends, then their larger ends
     stubs = np.repeat(np.arange(n, dtype=np.int64), k)
-    u, v = stubs[: side * k], stubs[side * k :]  # the X- and Y-stubs; with side = 0 all are in v
     present = np.zeros(n * n, dtype=bool)
     for _round in range(200):
+        h = stubs.size // 2
         if side:
-            rng.shuffle(v)  # u keeps the X-stubs in place
+            rng.shuffle(stubs[h:])  # the X-stubs stay in place
+            a, b = stubs[:h], stubs[h:]
         else:
-            stubs = np.concatenate([u, v])
             rng.shuffle(stubs)
-            u, v = np.minimum(stubs[0::2], stubs[1::2]), np.maximum(stubs[0::2], stubs[1::2])
-        keys = u * n + v
-        ok = (u != v) & _first_occurrences(keys) & ~present[keys]
+            a, b = stubs[0::2], stubs[1::2]
+        ok = a != b
+        keys = np.minimum(a, b)
+        keys *= n
+        keys += np.maximum(a, b, out=a)  # the stubs are spent: the larger ends overwrite a
+        del stubs, a, b  # no copy of the stubs outlives the round's keys
+        ok &= _first_occurrences(keys)
+        ok &= ~present[keys]
         present[keys[ok]] = True
-        u, v = u[~ok], v[~ok]
-        if ok.all() or not _repairable(u, v, present, n, side):
+        left = keys[~ok]
+        del keys
+        stubs = np.concatenate([left // n, left % n])
+        if left.size == 0 or not _repairable(stubs[: left.size], stubs[left.size :], present, n, side):
             break
-    _switch_in(u, v, present, n, rng, side)
+    h = stubs.size // 2
+    _switch_in(stubs[:h], stubs[h:], present, n, rng, side)
     upper = present.reshape(n, n)
     return upper | upper.T
 
@@ -152,12 +173,17 @@ def _switch_in(
 
 
 def _first_occurrences(keys: np.ndarray) -> np.ndarray:
-    """Mask of each value's first occurrence; needs 0 <= keys, max(keys) * keys.size < 2**63."""
+    """Mask of each value's first occurrence; needs 0 <= keys and
+    max(keys) << b | (m - 1) < 2**63, where m = keys.size and b = (m - 1).bit_length()."""
     m = keys.size
-    packed = np.sort(keys * m + np.arange(m))
-    order, sorted_keys = packed % m, packed // m
+    b = (m - 1).bit_length()
+    packed = keys << b
+    packed |= np.arange(m)
+    packed.sort()  # a key's occurrences in index order, as a stable sort keeps them
+    sorted_keys = packed >> b
+    packed &= (1 << b) - 1  # the indices, in sorted order
     first = np.ones(m, dtype=bool)
-    first[order[1:]] = sorted_keys[1:] != sorted_keys[:-1]
+    first[packed[1:]] = sorted_keys[1:] != sorted_keys[:-1]
     return first
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -291,9 +293,22 @@ def test_random_bipartite_always_audits(half, k, seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(0, 5), max_size=40))
-def test_first_occurrences_matches_stable_argsort(keys):
-    keys = np.array(keys, dtype=np.int64)
+@given(
+    st.integers(0, 12),
+    st.sampled_from([-1, 0, 1]),
+    st.integers(0, 2400**2 - 1),
+    st.integers(1, 64),
+    st.integers(0, 2**32 - 1),
+)
+def test_first_occurrences_matches_stable_argsort(b, offset, top, distinct, seed):
+    # sizes at and around powers of two set the packing's bit width; keys go
+    # up to top, at most the n=2400 pairing's largest key 2400² - 1, and are
+    # drawn from a pool of `distinct` values so that most repeat
+    m = max(2**b + offset, 0)
+    rng = np.random.default_rng(seed)
+    pool = rng.integers(0, top, size=distinct, endpoint=True)
+    pool[0] = top
+    keys = pool[rng.integers(0, distinct, size=m)]
     # the reference: a stable argsort keeps the first occurrence of a key
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
@@ -344,3 +359,48 @@ def test_pairing_rejects_sizes_whose_sort_keys_would_wrap():
     # the guard runs before any n*k-sized allocation (25 GB of stubs here)
     with pytest.raises(ValueError, match="too large"):
         generate(GenSpec(80_000, 39_999, "random-regular"))
+
+
+def test_pairing_rejects_from_the_smallest_size_whose_packed_keys_wrap(monkeypatch):
+    # k = 32768: at n = 65536, m = nk/2 = 2**30 pairs pack as (n² - 1) << 30 | (m - 1),
+    # below 2**63; at n = 65537, m > 2**30 takes b = 31 bits and (n² - 1) << 31 >= 2**63.
+    # np.repeat makes the first n*k-sized array, so refusing it shows where the guard
+    # let a size through, and keeps a guard that misses n = 65537 from taking 17 GB
+    class Allocated(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise Allocated
+
+    monkeypatch.setattr(np, "repeat", refuse)
+    with pytest.raises(Allocated):
+        generators._pairing_edges(65536, 32768, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="too large"):
+        generate(GenSpec(65537, 32768, "random-regular"))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n", 60.0),
+        ("k", 6.0),
+        ("n", True),
+        ("k", True),
+        ("seed", True),
+        ("seed", 1.5),
+        ("n", math.nan),
+        ("k", math.nan),
+        ("seed", math.nan),
+    ],
+)
+def test_genspec_rejects_values_that_are_not_integers(field, value):
+    given = {"n": 60, "k": 6, "family": "random-regular", "seed": 1, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        GenSpec(**given)
+
+
+def test_genspec_stores_numpy_integers_as_python_ints():
+    # mix64 would overflow on a numpy seed; stored as ints they give the same graph
+    spec = GenSpec(np.int64(60), np.int32(6), "random-regular", np.uint64(1))
+    assert type(spec.seed) is int
+    assert generate(spec) == generate(GenSpec(60, 6, "random-regular", 1))
