@@ -32,7 +32,7 @@ import numpy as np
 
 from ._bits import bits, mask_of, mix64
 from .generators import _dec, degree_from_ratio
-from .graph import Graph
+from .graph import Graph, _adjacency_block, _pack_rows
 from .graph import induced_subgraph  # noqa: F401  (kept only for perfbench's tracer)
 from .hamilton import (
     Cycle,
@@ -694,15 +694,16 @@ def _absorb(
             continue
         # no end extends; splice a run (w,), then (w, w'), between consecutive
         # path vertices. occ[w][idx] has bit i set iff w ~ p_i on path idx; it
-        # is built at most once per round
+        # is gathered from w's adjacency row in the order of the round's
+        # vertex array of each path, at most once per round
+        cols = [np.array(vs) for vs in seqs]
         occ: dict[int, list[int]] = {}
         order = list(bits(fmask))
         pairs = ((w, u) for w in order for u in bits(g.adjacency_mask(w) & fmask))
         for run in itertools.chain(((w,) for w in order), pairs):
             for w in run:
                 if w not in occ:
-                    aw = g.adjacency_mask(w)
-                    occ[w] = [sum(1 << i for i, v in enumerate(vs) if (aw >> v) & 1) for vs in seqs]
+                    occ[w] = [_pack_rows(_adjacency_block(g, (w,), at))[0] for at in cols]
             for idx, vs in enumerate(seqs):
                 gap = occ[run[0]][idx] & (occ[run[-1]][idx] >> 1)
                 if gap:
