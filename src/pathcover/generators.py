@@ -29,6 +29,9 @@ from ._bits import mix64
 from .graph import Graph, complement
 
 RESTART_CAP = 10_000
+# pairs a pairing round packs at a time: its two int64 chunk buffers (128 KiB)
+# stay within one int64 per pair of a round at n=600
+_ROUND_CHUNK = 1 << 13
 
 FAMILIES = (
     "random-regular",
@@ -94,6 +97,12 @@ def _dec(x: Union[int, float, Fraction]) -> Fraction:
 def degree_from_ratio(n: int, c: float) -> int:
     """k = ceil(c*n) for generators driven by a degree ratio c, with c snapped
     to 9 decimals so that 0.3 * 600 gives 180, not ceil(180.00000000000003)."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"n must be an integer, got {n!r}") from None
+    if n <= 0:
+        raise ValueError(f"need n > 0, got n={n}")
     if not 0 < c <= 1:
         raise ValueError("c must be in (0, 1]")
     return math.ceil(_dec(c) * n)
@@ -118,27 +127,15 @@ def _pairing_edges(n: int, k: int, rng: np.random.Generator, side: int = 0) -> n
     # after a round, the leftover pairs' smaller ends, then their larger ends
     stubs = np.repeat(np.arange(n, dtype=np.int64), k)
     present = np.zeros(n * n, dtype=bool)
+    present[:: n + 1] = True  # a loop is then a pair already present
     for _round in range(200):
-        h = stubs.size // 2
-        if side:
-            rng.shuffle(stubs[h:])  # the X-stubs stay in place
-            a, b = stubs[:h], stubs[h:]
-        else:
-            rng.shuffle(stubs)
-            a, b = stubs[0::2], stubs[1::2]
-        ok = a != b
-        keys = np.minimum(a, b)
-        keys *= n
-        keys += np.maximum(a, b, out=a)  # the stubs are spent: the larger ends overwrite a
-        del stubs, a, b  # no copy of the stubs outlives the round's keys
-        ok &= _first_occurrences(keys)
-        ok &= ~present[keys]
-        present[keys[ok]] = True
-        left = keys[~ok]
-        del keys
+        rng.shuffle(stubs[stubs.size // 2 :] if side else stubs)  # the X-stubs stay in place
+        left = _pair_round(stubs, present, n, side)
+        del stubs  # the stubs are spent: free them before the next round's
         stubs = np.concatenate([left // n, left % n])
         if left.size == 0 or not _repairable(stubs[: left.size], stubs[left.size :], present, n, side):
             break
+    present[:: n + 1] = False
     h = stubs.size // 2
     _switch_in(stubs[:h], stubs[h:], present, n, rng, side)
     upper = present.reshape(n, n)
@@ -172,19 +169,48 @@ def _switch_in(
         present[ax[i]] = present[by[i]] = True
 
 
-def _first_occurrences(keys: np.ndarray) -> np.ndarray:
-    """Mask of each value's first occurrence; needs 0 <= keys and
-    max(keys) << b | (m - 1) < 2**63, where m = keys.size and b = (m - 1).bit_length()."""
-    m = keys.size
-    b = (m - 1).bit_length()
-    packed = keys << b
-    packed |= np.arange(m)
-    packed.sort()  # a key's occurrences in index order, as a stable sort keeps them
-    sorted_keys = packed >> b
-    packed &= (1 << b) - 1  # the indices, in sorted order
-    first = np.ones(m, dtype=bool)
-    first[packed[1:]] = sorted_keys[1:] != sorted_keys[:-1]
-    return first
+def _pair_round(stubs: np.ndarray, present: np.ndarray, n: int, side: int = 0) -> np.ndarray:
+    """Pair the shuffled stubs, mark the fresh pairs in `present` and return the
+    other pairs' keys min * n + max in pair order; overwrites the stubs.
+
+    Pair i is stubs[i], stubs[h + i] with side > 0, else stubs[2i], stubs[2i + 1].
+    A pair is fresh if `present` does not hold it and no earlier pair of the
+    round repeats it; `present`'s diagonal must be set, so that no loop is.
+    Needs (n² - 1) << b | (h - 1) < 2**63, where b = (h - 1).bit_length()."""
+    h = stubs.size // 2
+    b = (h - 1).bit_length()
+    packed, keys = stubs[:h], stubs[h:]
+    offsets = np.arange(min(h, _ROUND_CHUNK))
+    buf = np.empty_like(offsets)
+    # chunk [lo, hi) writes packed[lo:hi], stubs that only it and earlier chunks read
+    for lo in range(0, h, _ROUND_CHUNK):
+        hi = min(lo + _ROUND_CHUNK, h)
+        if side:
+            u, v = stubs[lo:hi], stubs[h + lo : h + hi]
+        else:
+            u, v = stubs[2 * lo : 2 * hi : 2], stubs[2 * lo + 1 : 2 * hi : 2]
+        key = np.minimum(u, v, out=buf[: hi - lo])
+        key *= n
+        key += np.maximum(u, v, out=u)
+        key <<= b
+        key += lo
+        np.add(key, offsets[: hi - lo], out=packed[lo:hi])  # key << b | pair index
+    del offsets, buf, key
+    packed.sort()  # a key's pairs in pair order, as a stable sort keeps them
+    np.right_shift(packed, b, out=keys)
+    repeat = np.empty(h, dtype=bool)
+    repeat[0] = False
+    np.equal(keys[1:], keys[:-1], out=repeat[1:])
+    repeat |= present[keys]  # a loop too, as the diagonal is set
+    present[keys] = True  # each repeat is a loop, was present, or repeats a fresh pair
+    left = np.compress(repeat, packed)  # packed[repeat] is several times slower
+    key = left >> b
+    left &= (1 << b) - 1
+    left *= n * n
+    left += key  # pair index * n² + key, at most h * n² - 1 under the bound above
+    left.sort()
+    left %= n * n
+    return left
 
 
 class _PairingStuck(Exception):

@@ -28,6 +28,7 @@ exactly d) are deterministic.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -141,6 +142,10 @@ def _partition_with_counts(
     its clusters' rows in int64, since e(V_i, V_j) reaches m^2.
     """
     n = len(within)
+    try:
+        t = operator.index(t)
+    except TypeError:
+        raise ValueError(f"t must be an integer, got {t!r}") from None
     if not 1 <= t <= n:
         raise ValueError(f"need 1 <= t <= n, got t={t}, n={n}")
     m = (n // t) & ~1
@@ -266,9 +271,9 @@ def is_eps_regular(
         raise ValueError("regularity needs nonempty sets")
     if am & bm:
         raise ValueError("regularity needs disjoint sets")
+    if not 0 < eps < math.inf:  # NaN fails too
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     epsf = Fraction(eps)
-    if epsf <= 0:
-        raise ValueError("eps must be positive")
     a_list = sorted(bits(am))
     b_list = sorted(bits(bm))
     if len(a_list) <= EXACT_CAP and len(b_list) <= EXACT_CAP:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from pathcover import generators
 from pathcover.generators import (
     GenSpec,
-    _first_occurrences,
     _PairingStuck,
     _repairable,
     _switch_in,
@@ -292,29 +292,109 @@ def test_random_bipartite_always_audits(half, k, seed):
     assert all((u in x) != (v in x) for u, v in g.edges)
 
 
+def _reference_round(stubs: np.ndarray, present: np.ndarray, n: int, side: int) -> list[int]:
+    """Walk the round's pairs in order: accept a pair iff it is no loop, is not
+    present and no earlier pair repeats it; return the others' keys in order."""
+    h = stubs.size // 2
+    us, vs = (stubs[:h], stubs[h:]) if side else (stubs[0::2], stubs[1::2])
+    seen, left = set(), []
+    for u, v in zip(us.tolist(), vs.tolist()):
+        key = min(u, v) * n + max(u, v)
+        if u != v and not present[key] and key not in seen:
+            present[key] = True
+        else:
+            left.append(key)
+        seen.add(key)
+    return left
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(0, 12),
     st.sampled_from([-1, 0, 1]),
-    st.integers(0, 2400**2 - 1),
+    st.booleans(),
+    st.integers(2, 2400),
     st.integers(1, 64),
+    st.floats(0, 0.6),
+    st.sampled_from([1, 3, 64, generators._ROUND_CHUNK]),
     st.integers(0, 2**32 - 1),
 )
-def test_first_occurrences_matches_stable_argsort(b, offset, top, distinct, seed):
-    # sizes at and around powers of two set the packing's bit width; keys go
-    # up to top, at most the n=2400 pairing's largest key 2400² - 1, and are
-    # drawn from a pool of `distinct` values so that most repeat
-    m = max(2**b + offset, 0)
+def test_pair_round_matches_sequential_reference(b, offset, bipartite, n, distinct, density, chunk, seed):
+    # pair counts at and around powers of two set the packing's bit width (h = 1
+    # included); the ends come from a pool of `distinct` vertices, holding the
+    # largest, so that pairs repeat and keys reach n² - 1; short chunks split
+    # the round as long rounds are split
+    h = max(2**b + offset, 1)
     rng = np.random.default_rng(seed)
-    pool = rng.integers(0, top, size=distinct, endpoint=True)
-    pool[0] = top
-    keys = pool[rng.integers(0, distinct, size=m)]
-    # the reference: a stable argsort keeps the first occurrence of a key
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    first = np.ones(keys.size, dtype=bool)
-    first[order[1:]] = sorted_keys[1:] != sorted_keys[:-1]
-    assert np.array_equal(_first_occurrences(keys), first)
+    if bipartite:
+        side = max(n // 2, 1)
+        n = 2 * side
+        xs = rng.integers(0, side, size=distinct)
+        ys = rng.integers(side, n, size=distinct)
+        xs[0], ys[0] = side - 1, n - 1
+        stubs = np.concatenate([rng.choice(xs, size=h), rng.choice(ys, size=h)])
+    else:
+        side = 0
+        pool = rng.integers(0, n, size=distinct)
+        pool[0] = n - 1
+        stubs = rng.choice(pool, size=2 * h)
+    present = rng.random(n * n) < density
+    expected_present = present.copy()
+    expected_left = _reference_round(stubs, expected_present, n, side)
+    present[:: n + 1] = True
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(generators, "_ROUND_CHUNK", chunk)
+        left = generators._pair_round(stubs, present, n, side)
+    present[:: n + 1] = False
+    expected_present[:: n + 1] = False
+    assert left.tolist() == expected_left
+    assert np.array_equal(present, expected_present)
+
+
+@pytest.mark.parametrize(
+    "n, k, side",
+    [
+        (65536, 32768, 0),  # random-regular: m = 2**30 pairs
+        (92680, 23170, 46340),  # random-bipartite-regular: m = 46340 * 23170 < 2**30
+    ],
+)
+def test_pair_round_keys_fit_int64_at_the_largest_size_the_guard_accepts(monkeypatch, n, k, side):
+    # a round packs key << b | index and then restores pair order by sorting
+    # index * n² + key; the first round has the most pairs, m, and the largest b
+    class Allocated(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise Allocated
+
+    monkeypatch.setattr(np, "repeat", refuse)
+    with pytest.raises(Allocated):  # the guard accepts this size
+        generators._pairing_edges(n, k, np.random.default_rng(0), side)
+    m = n * k // 2
+    b = (m - 1).bit_length()
+    assert (n * n - 1) << b | (m - 1) < 2**63
+    assert (m - 1) * n * n + n * n - 1 < 2**63
+    with pytest.raises(ValueError, match="too large"):  # and refuses the next size
+        generators._pairing_edges(n + 2, k, np.random.default_rng(0), side + 1 if side else 0)
+
+
+@pytest.mark.parametrize(
+    "family, n, k",
+    [("random-regular", 600, 180), ("random-regular", 600, 270), ("random-bipartite-regular", 600, 90)],
+)
+def test_generate_holds_the_stubs_present_and_one_int64_per_pair(family, n, k):
+    # numpy reports its buffers to tracemalloc; the bound is the int64 stubs
+    # (8nk bytes), the bool `present` (n² bytes) and one int64 per pair of the
+    # first round (8m bytes) for the round's temporaries
+    spec = GenSpec(n, k, family, 1)
+    generate(spec)  # any first-call allocations happen outside the trace
+    tracemalloc.start()
+    try:
+        generate(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n * k + n * n + 8 * (n * k // 2)
 
 
 def _leftovers(pairs) -> tuple[np.ndarray, np.ndarray]:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from unittest.mock import patch
@@ -431,6 +432,34 @@ def test_regularity_rejects_bad_inputs():
         is_eps_regular(g, set(), {1}, EPS14)
     with pytest.raises(ValueError):
         is_eps_regular(g, {0}, {1}, 0)
+
+
+_RING = Graph(10, [(i, (i + 1) % 10) for i in range(10)])
+_PAIR = (_RING, [0, 1], [5, 6])
+
+
+@pytest.mark.parametrize(
+    "fn, args, match",
+    [
+        pytest.param(equitable_partition, (_RING, 2.5), "t must be an integer", id="t=2.5"),
+        pytest.param(equitable_partition, (_RING, math.nan), "t must be an integer", id="t=nan"),
+        pytest.param(equitable_partition, (_RING, 0), "need 1 <= t", id="t=0"),
+        pytest.param(is_eps_regular, (*_PAIR, math.inf), "eps must be positive and finite", id="eps=inf"),
+        pytest.param(is_eps_regular, (*_PAIR, -math.inf), "eps must be positive and finite", id="eps=-inf"),
+        pytest.param(is_eps_regular, (*_PAIR, math.nan), "eps must be positive and finite", id="eps=nan"),
+        pytest.param(is_eps_regular, (*_PAIR, 0), "eps must be positive and finite", id="eps=0"),
+        pytest.param(degree_from_ratio, (math.inf, 0.5), "n must be an integer", id="n=inf"),
+        pytest.param(degree_from_ratio, (2.5, 0.5), "n must be an integer", id="n=2.5"),
+        pytest.param(degree_from_ratio, (-1, 0.5), "need n > 0", id="n=-1"),
+        pytest.param(degree_from_ratio, (0, 0.5), "need n > 0", id="n=0"),
+        pytest.param(degree_from_ratio, (10, math.inf), r"c must be in \(0, 1\]", id="c=inf"),
+        pytest.param(degree_from_ratio, (10, math.nan), r"c must be in \(0, 1\]", id="c=nan"),
+    ],
+)
+def test_parameter_errors_are_value_errors(fn, args, match):
+    # each entry point raises ValueError, never TypeError or OverflowError
+    with pytest.raises(ValueError, match=match):
+        fn(*args)
 
 
 @pytest.mark.parametrize(
