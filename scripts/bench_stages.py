@@ -31,7 +31,7 @@ over each cover's calls. Times are given in ms as the median and quartiles
 over the RUNS (10) runs of each cell, a length fixed so that every BENCH
 file is comparable. Every run of a cell must give the same outcome (method,
 paths, uncovered, audit). A full run takes about 1.5 minutes on a 2-CPU
-machine (twice that for two trees); the n=10^4 cell peaks near 450 MB.
+machine (twice that for two trees); the n=10^4 cell peaks near 445 MB.
 """
 
 from __future__ import annotations
