@@ -1,4 +1,5 @@
-"""Bitmask helpers for vertex sets.
+"""Bitmask helpers for vertex sets, seed mixing and the integer check of the
+entry points.
 
 Vertex sets are represented as Python ints (bit i set = vertex i present),
 which makes intersection, popcount and subset scans cheap even at n = 600.
@@ -6,6 +7,7 @@ which makes intersection, popcount and subset scans cheap even at n = 600.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator
 
 _MASK64 = (1 << 64) - 1
@@ -62,3 +64,14 @@ def mix64(*parts: int) -> int:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         z = z ^ (z >> 31)
     return z
+
+
+def int_arg(name: str, value) -> int:
+    """`value` as a Python int: ValueError for a bool and for anything that
+    `operator.index` refuses (a float, NaN, ±inf); numpy integers pass."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None

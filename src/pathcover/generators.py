@@ -18,14 +18,13 @@ adjacency matrix; all deterministic per seed.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 import numpy as np
 
-from ._bits import mix64
+from ._bits import int_arg, mix64
 from .graph import Graph, complement
 
 RESTART_CAP = 10_000
@@ -58,13 +57,7 @@ class GenSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         for name in ("n", "k", "seed"):
-            value = getattr(self, name)
-            try:
-                if isinstance(value, bool):
-                    raise TypeError
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            object.__setattr__(self, name, int_arg(name, getattr(self, name)))
         n, k = self.n, self.k
         if n <= 0 or k < 0:
             raise ValueError("need n > 0 and k >= 0")
@@ -97,10 +90,7 @@ def _dec(x: Union[int, float, Fraction]) -> Fraction:
 def degree_from_ratio(n: int, c: float) -> int:
     """k = ceil(c*n) for generators driven by a degree ratio c, with c snapped
     to 9 decimals so that 0.3 * 600 gives 180, not ceil(180.00000000000003)."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ValueError(f"n must be an integer, got {n!r}") from None
+    n = int_arg("n", n)
     if n <= 0:
         raise ValueError(f"need n > 0, got n={n}")
     if not 0 < c <= 1:

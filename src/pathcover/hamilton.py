@@ -14,6 +14,7 @@ Search failure is a value carrying the best structure found, not an error.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
@@ -278,6 +279,16 @@ def _dp_spanning(adj: Sequence[int], active: int, cycle: bool) -> Optional[list[
 # ---------------------------------------------------------------- public ops
 
 
+def _search_budget(budget: Optional[int], default: int) -> int:
+    """The rotations a search may spend: `default` when budget is None. A
+    budget below 1 (NaN included) or infinite is a ValueError."""
+    if budget is None:
+        return default
+    if not 1 <= budget < math.inf:
+        raise ValueError(f"budget must be positive (at least 1) and finite, got {budget!r}")
+    return budget
+
+
 def _spanning(
     adj: Sequence[int], active: int, n_active: int, seed: int, total: int, close: bool
 ) -> tuple[Union[Path, Cycle, None], Union[Path, Cycle, None]]:
@@ -307,7 +318,7 @@ def hamiltonian_path(
     """
     if g.n == 0:
         raise ValueError("empty graph")
-    total = budget if budget is not None else 50 * 10 * g.n
+    total = _search_budget(budget, 50 * 10 * g.n)
     adj = [g.adjacency_mask(v) for v in range(g.n)]
     return PathSearch(*_spanning(adj, (1 << g.n) - 1, g.n, mix64(seed, 0x9A7B), total, close=False))
 
@@ -331,6 +342,7 @@ def spanning_cycle_bipartite(
     nx, ny = xm.bit_count(), ym.bit_count()
     if nx != ny or nx < 2:
         raise ValueError(f"need equal sides of size >= 2, got {nx} and {ny}")
+    total = _search_budget(budget, 50 * 10 * nx)
     active = xm | ym
     adj = [0] * g.n
     for v in bits(xm):
@@ -340,7 +352,6 @@ def spanning_cycle_bipartite(
     # degree-1 vertices can never lie on a cycle
     if any(adj[v].bit_count() < 2 for v in bits(active)):
         return CycleSearch(None, None)
-    total = budget if budget is not None else 50 * 10 * nx
     return CycleSearch(*_spanning(adj, active, 2 * nx, mix64(seed, 0xC1C7E), total, close=True))
 
 
@@ -352,13 +363,11 @@ def _longest(
     active = _vertex_mask(g, within) if within is not None else (1 << g.n) - 1
     if not active:
         raise ValueError("empty vertex set")
-    if budget is not None and budget < 1:
-        raise ValueError(f"budget must be positive, got {budget}")
     n_active = active.bit_count()
+    total = _search_budget(budget, 20 * 10 * n_active)
     if close and n_active < 3:
         return None
     adj = [g.adjacency_mask(v) & active if (active >> v) & 1 else 0 for v in range(g.n)]
-    total = budget if budget is not None else 20 * 10 * n_active
     return _longest_search(adj, active, n_active, seed, total, close)
 
 

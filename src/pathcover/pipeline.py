@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from ._bits import bits, mask_of, mix64
+from ._bits import bits, int_arg, mask_of, mix64
 from .generators import _dec, degree_from_ratio
 from .graph import Graph, _adjacency_block, _pack_rows
 from .graph import induced_subgraph  # noqa: F401  (kept only for perfbench's tracer)
@@ -112,8 +112,11 @@ class PipelineConfig:
             raise ValueError("need 0 < eps <= d/6")
         if not 0 <= self.gamma <= 0.25 + _TOL:
             raise ValueError("gamma must be in [0, 1/4]")
-        if self.t is not None and (type(self.t) is bool or not isinstance(self.t, int) or self.t < 1):
-            raise ValueError(f"t must be None or an integer >= 1, got {self.t!r}")
+        if self.t is not None:
+            object.__setattr__(self, "t", int_arg("t", self.t))
+            if self.t < 1:
+                raise ValueError(f"t must be None or an integer >= 1, got {self.t!r}")
+        object.__setattr__(self, "seed", int_arg("seed", self.seed))
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
@@ -230,7 +233,13 @@ class CheckItem:
 
 @dataclass
 class CoverCheck:
+    """`verify_cover`'s items and counts: units, distinct vertices on them and
+    vertices declared uncovered."""
+
     items: list[CheckItem]
+    count: int = 0
+    covered: int = 0
+    uncovered: int = 0
 
     @property
     def ok(self) -> bool:
@@ -371,8 +380,12 @@ def cycle_cover(
 
     Tries the regularity route; on shortfall, strips long cycles greedily and
     labels the report `greedy-fallback`. Never emits overlapping cycles.
+    `rep.success` is `verify_cover` at the fallback's cycle cap, the largest
+    count either route returns, and alpha*n uncovered.
     """
-    return _cycle_stage(g, range(g.n), cfg, strict_window)
+    cycset, rep = _cycle_stage(g, range(g.n), cfg, strict_window)
+    _record_audit(rep, verify_cover(g, cycset, _cycle_cap(cfg, g.n), int(_dec(cfg.alpha) * g.n)))
+    return cycset, rep
 
 
 def _cycle_stage(
@@ -381,10 +394,11 @@ def _cycle_stage(
     cfg: PipelineConfig,
     strict_window: bool,
 ) -> tuple[CycleSet, RunReport]:
-    """`cycle_cover` of the subgraph induced on the sorted ids `rest`, in g's
-    ids. The stage reads g only through `rest`, and ordering by id agrees with
-    the relabelling 0..|rest|-1, so it returns what `cycle_cover` would on
-    that relabelled copy, mapped back."""
+    """The cycles of `cycle_cover` on the subgraph induced on the sorted ids
+    `rest`, in g's ids, with its report before the audit. The stage reads g
+    only through `rest`, and ordering by id agrees with the relabelling
+    0..|rest|-1, so it returns what it would on that relabelled copy, mapped
+    back."""
     n = len(rest)
     rep = RunReport(n=n)
     eps = cfg.eps
@@ -408,16 +422,15 @@ def _cycle_stage(
             )
             cycles = None
     if cycles is None:
-        t_cap = cfg.t if cfg.t is not None else max(_default_t(n), 4)
-        cycles = _strip(g, longest_cycle, rest, (cfg.seed, 0xFA11), t_cap, keep=alpha_cap)
+        cycles = _strip(g, longest_cycle, rest, (cfg.seed, 0xFA11), _cycle_cap(cfg, n), keep=alpha_cap)
         rep.method = "greedy-fallback"
-    covered = _covered_vertices(cycles)
     rep.cycles_found = len(cycles)
-    rep.covered = len(covered)
-    rep.uncovered = n - len(covered)
-    rep.final_count = len(cycles)
-    rep.success = rep.uncovered <= alpha_cap
-    return CycleSet(cycles, frozenset(rest) - covered), rep
+    return CycleSet(cycles, frozenset(rest) - _covered_vertices(cycles)), rep
+
+
+def _cycle_cap(cfg: PipelineConfig, n: int) -> int:
+    """The fallback's cycle cap on n vertices; the route returns at most t."""
+    return cfg.t if cfg.t is not None else max(_default_t(n), 4)
 
 
 def _regularity_cycles(
@@ -805,7 +818,7 @@ def _path_stage(
             rest = sorted(xs + ys)
             rep.note(f"held out {drop} vertices to balance the working sides")
     cycset, crep = _cycle_stage(g, rest, cfg.with_alpha(cfg.alpha / 2), strict_window=False)
-    # the cycle stage's diagnostics, on the whole graph; _connect_absorb recounts the cover
+    # the cycle stage's diagnostics, on the whole graph; _connect_absorb audits the cover
     rep = replace(
         crep, n=n, notes=rep.notes + crep.notes, reservoir_size=len(r), reservoir_vertices=r
     )
@@ -837,8 +850,8 @@ def _connect_absorb(
     sides: Optional[tuple[int, int]],
 ) -> PathCover:
     """Connect, join and absorb until a round changes nothing (at most 4
-    rounds), then count the cover into `rep`: success is at most `limit`
-    paths and at most `alpha_cap` uncovered vertices."""
+    rounds), then audit the cover into `rep`: success is `verify_cover` with
+    at most `limit` paths and at most `alpha_cap` uncovered vertices."""
     rset = r
     for _ in range(4):
         before = (len(paths), _covered_count(paths))
@@ -856,12 +869,9 @@ def _connect_absorb(
         if (len(paths), _covered_count(paths)) == before:
             break
     rep.reservoir_spent = rep.connections
-    uncovered = frozenset(range(g.n)) - _covered_vertices(paths)
-    rep.final_count = len(paths)
-    rep.covered = g.n - len(uncovered)
-    rep.uncovered = len(uncovered)
-    rep.success = len(paths) <= limit and len(uncovered) <= alpha_cap
-    return PathCover(paths, uncovered)
+    cover = PathCover(paths, frozenset(range(g.n)) - _covered_vertices(paths))
+    _record_audit(rep, verify_cover(g, cover, limit, alpha_cap))
+    return cover
 
 
 def _covered_vertices(units: Sequence[Union[Path, Cycle]]) -> set[int]:
@@ -892,81 +902,55 @@ def verify_cover(
     max_count: Optional[int] = None,
     max_uncovered: Optional[int] = None,
 ) -> CoverCheck:
-    """Itemized structural audit of a path or cycle cover."""
-    units: Sequence
+    """Itemized structural audit of a path or cycle cover, in one pass over
+    its units. Each structural item reports its first failure in unit order;
+    an id outside 0..n-1 is a non-edge. The covers' `rep.success` is this
+    audit's verdict at their caps."""
     closed = isinstance(cover, CycleSet)
-    units = cover.cycles if closed else cover.paths
-    items: list[CheckItem] = []
-
-    bad_edge = None
+    units: Sequence = cover.cycles if closed else cover.paths
+    n = g.n
+    covered: set[int] = set()  # the vertices of the units scanned so far
+    bad_edge = repeat = shared = None
     for u_idx, unit in enumerate(units):
         vs = unit.vertices
-        pairs = zip(vs, vs[1:] + vs[:1]) if closed else zip(vs, vs[1:])
-        for a, b in pairs:
-            if not (0 <= a < g.n and 0 <= b < g.n and g.adjacent(a, b)):
-                bad_edge = (u_idx, a, b)
-                break
-        if bad_edge:
-            break
-    items.append(
+        if bad_edge is None:
+            for a, b in zip(vs, vs[1:] + vs[:1]) if closed else zip(vs, vs[1:]):
+                if not (0 <= a < n and 0 <= b < n and g.adjacent(a, b)):
+                    bad_edge = (u_idx, a, b)
+                    break
+        if repeat is None and len(set(vs)) != len(vs):
+            repeat = u_idx
+        # a repeat inside one unit is reported by distinct-vertices
+        if shared is None and not covered.isdisjoint(vs):
+            v = next(v for v in vs if v in covered)
+            shared = (v, next(i for i in range(u_idx) if v in units[i].vertices), u_idx)
+        covered.update(vs)
+    declared = set(cover.uncovered)
+    consistent = (covered | declared == set(range(n))) and not (covered & declared)
+    items = [
         CheckItem(
             "adjacency",
             bad_edge is None,
             "" if bad_edge is None else f"unit {bad_edge[0]} uses non-edge ({bad_edge[1]},{bad_edge[2]})",
-        )
-    )
-
-    repeat = None
-    for u_idx, unit in enumerate(units):
-        if len(set(unit.vertices)) != len(unit.vertices):
-            repeat = u_idx
-            break
-    items.append(
+        ),
         CheckItem(
             "distinct-vertices",
             repeat is None,
             "" if repeat is None else f"unit {repeat} repeats a vertex",
-        )
-    )
-
-    seen: dict[int, int] = {}
-    shared = None
-    for u_idx, unit in enumerate(units):
-        for v in unit.vertices:
-            # a repeat inside one unit is reported by distinct-vertices
-            if seen.get(v, u_idx) != u_idx:
-                shared = (v, seen[v], u_idx)
-                break
-            seen[v] = u_idx
-        if shared:
-            break
-    items.append(
+        ),
         CheckItem(
             "disjoint",
             shared is None,
             "" if shared is None else f"vertex {shared[0]} shared by units {shared[1]} and {shared[2]}",
-        )
-    )
-
-    covered = _covered_vertices(units)
-    declared = set(cover.uncovered)
-    consistent = (covered | declared == set(range(g.n))) and not (covered & declared)
-    items.append(
+        ),
         CheckItem(
             "uncovered-consistent",
             consistent,
             "" if consistent else "declared uncovered set does not complement the cover",
-        )
-    )
-
+        ),
+    ]
     if max_count is not None:
-        items.append(
-            CheckItem(
-                "count",
-                len(units) <= max_count,
-                f"{len(units)} units vs limit {max_count}",
-            )
-        )
+        items.append(CheckItem("count", len(units) <= max_count, f"{len(units)} units vs limit {max_count}"))
     if max_uncovered is not None:
         items.append(
             CheckItem(
@@ -975,4 +959,10 @@ def verify_cover(
                 f"{len(declared)} uncovered vs limit {max_uncovered}",
             )
         )
-    return CoverCheck(items)
+    return CoverCheck(items, len(units), len(covered), len(declared))
+
+
+def _record_audit(rep: RunReport, check: CoverCheck) -> None:
+    """Copy the audit's counts into `rep`; its verdict is `rep.success`."""
+    rep.final_count, rep.covered, rep.uncovered = check.count, check.covered, check.uncovered
+    rep.success = check.ok

@@ -28,7 +28,6 @@ exactly d) are deterministic.
 from __future__ import annotations
 
 import math
-import operator
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -37,7 +36,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from ._bits import bits, mask_of, mix64
+from ._bits import bits, int_arg, mask_of, mix64
 from .graph import Graph, VertexSet, _adjacency_block, _vertex_mask, density
 
 EXACT_CAP = 10
@@ -142,10 +141,7 @@ def _partition_with_counts(
     its clusters' rows in int64, since e(V_i, V_j) reaches m^2.
     """
     n = len(within)
-    try:
-        t = operator.index(t)
-    except TypeError:
-        raise ValueError(f"t must be an integer, got {t!r}") from None
+    t = int_arg("t", t)
     if not 1 <= t <= n:
         raise ValueError(f"need 1 <= t <= n, got t={t}, n={n}")
     m = (n // t) & ~1

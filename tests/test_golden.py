@@ -17,6 +17,7 @@ from pathlib import Path as FsPath
 
 import pytest
 
+from pathcover import cli, hamilton, pipeline
 from pathcover._bits import mix64
 from pathcover.cli import main, write_cover_file
 from pathcover.generators import GenSpec, degree_from_ratio, extremal_family, generate
@@ -27,7 +28,14 @@ from pathcover.hamilton import (
     longest_path,
     spanning_cycle_bipartite,
 )
-from pathcover.pipeline import PipelineConfig, RunReport, _reservoir_relaxed, path_cover, path_cover_bipartite
+from pathcover.pipeline import (
+    PipelineConfig,
+    RunReport,
+    _reservoir_relaxed,
+    path_cover,
+    path_cover_bipartite,
+    verify_cover,
+)
 from pathcover.regularity import equitable_partition, is_eps_regular
 
 GOLDEN = FsPath(__file__).parent / "golden"
@@ -99,12 +107,23 @@ def test_benchmark_graphs_match_golden():
         ("bench_random_bipartite_n120.csv", ["--bipartite", "--c", "0.15,0.3,0.45"]),
     ],
 )
-def test_bench_csv_matches_golden(name, family_args, capsys):
+def test_bench_csv_matches_golden(name, family_args, capsys, monkeypatch):
+    # each cover is audited once, inside its path stage; none of these 12
+    # trials takes the path stage's second pass
+    audits = []
+
+    def counted(*args, **kwargs):
+        audits.append(args[1])
+        return verify_cover(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "verify_cover", counted)
+    monkeypatch.setattr(cli, "verify_cover", counted)
     code = main(
         ["bench", *family_args, "--n", "120", "--seeds", "0..3", "--timing", "none", "--threads", "1"]
     )
     assert code == 0
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
+    assert len(audits) == 12
 
 
 def test_path_cover_complete_graph_matches_golden():
@@ -205,16 +224,17 @@ def test_regularity_verdicts_match_golden(name):
 
 def _exact_dp_lines() -> list[str]:
     """Spanning paths and alternating spanning cycles found by the exact DP
-    (budget 0 skips the heuristic) on seeded random graphs. Bipartite sides
-    are random disjoint vertex sets inside a host with up to 3 extra vertices
-    and edges inside the sides, which the search must ignore."""
+    on seeded random graphs, with the heuristic switched off by the caller.
+    Bipartite sides are random disjoint vertex sets inside a host with up to
+    3 extra vertices and edges inside the sides, which the search must
+    ignore."""
     lines = []
     for i in range(300):
         rng = random.Random(mix64(0xD9, i))
         n = rng.randint(1, 12)
         p = rng.uniform(0.15, 0.75)
         g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
-        res = hamiltonian_path(g, budget=0)
+        res = hamiltonian_path(g)
         lines.append(
             f"path i={i} n={n} m={g.m} -> "
             + (" ".join(map(str, res.path.vertices)) if res.ok else "none")
@@ -227,7 +247,7 @@ def _exact_dp_lines() -> list[str]:
         g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
         ids = rng.sample(range(n), 2 * side)
         x, y = ids[:side], ids[side:]
-        res = spanning_cycle_bipartite(g, x, y, budget=0)
+        res = spanning_cycle_bipartite(g, x, y)
         lines.append(
             f"cycle i={i} n={n} m={g.m} x={_vertex_list(x)} y={_vertex_list(y)} -> "
             + (" ".join(map(str, res.cycle.vertices)) if res.ok else "none")
@@ -235,7 +255,9 @@ def _exact_dp_lines() -> list[str]:
     return lines
 
 
-def test_exact_dp_matches_golden():
+def test_exact_dp_matches_golden(monkeypatch):
+    # a heuristic that finds nothing leaves every answer to the DP
+    monkeypatch.setattr(hamilton, "_longest_search", lambda *args: None)
     golden = (GOLDEN / "exact_dp.txt").read_text().splitlines()
     assert _exact_dp_lines() == [line for line in golden if not line.startswith("#")]
 

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,7 @@ from pathcover.generators import (
 )
 from pathcover.graph import Graph, induced_subgraph
 from pathcover.hamilton import Cycle, Path
-from pathcover import regularity
+from pathcover import pipeline, regularity
 from pathcover.regularity import Partition, is_eps_regular
 from pathcover.pipeline import (
     CycleSet,
@@ -33,6 +34,7 @@ from pathcover.pipeline import (
     _absorb,
     _concat_paths,
     _cycle_stage,
+    _default_t,
     _int_window,
     _reservoir_draws,
     _reservoir_relaxed,
@@ -83,6 +85,12 @@ def test_config_invariants_enforced():
 def test_config_rejects_parameters_outside_their_range(given):
     with pytest.raises(ValueError):
         PipelineConfig.derive(0.5, 0.1, **given)
+
+
+def test_config_stores_numpy_integers_as_python_ints():
+    cfg = PipelineConfig.derive(0.5, 0.1, t=np.int64(4), seed=np.uint64(3))
+    assert (cfg.t, cfg.seed) == (4, 3) and type(cfg.t) is int and type(cfg.seed) is int
+    assert cfg == PipelineConfig.derive(0.5, 0.1, t=4, seed=3)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -678,6 +686,28 @@ def test_cycle_cover_random_sweep_covers_most():
 
 
 @pytest.mark.parametrize(
+    "family, c", [("random-regular", 0.05), ("random-regular", 0.3), ("random-bipartite-regular", 0.1)]
+)
+@pytest.mark.parametrize("t", [None, 1])
+def test_cycle_cover_success_is_the_audit_at_the_cycle_cap(family, c, t):
+    # cubic random graphs (c=0.05) leave some seeds with no closed cycle
+    n = 60
+    verdicts = []
+    for seed in range(6):
+        g = generate(GenSpec(n, degree_from_ratio(n, c), family, seed))
+        cfg = PipelineConfig.derive(c, 0.01, t=t, seed=seed)
+        cycset, rep = cycle_cover(g, cfg, strict_window=False)
+        t_cap = t if t is not None else max(_default_t(n), 4)
+        check = verify_cover(g, cycset, max_count=t_cap, max_uncovered=int(0.01 * n))
+        assert rep.success == check.ok
+        assert (rep.final_count, rep.uncovered) == (len(cycset.cycles), len(cycset.uncovered))
+        assert rep.covered == n - rep.uncovered
+        verdicts.append(rep.success)
+    if c == 0.05:
+        assert set(verdicts) == {False, True}
+
+
+@pytest.mark.parametrize(
     "family, n, c, seed",
     [
         ("random-regular", 150, 0.4, 8),
@@ -692,7 +722,8 @@ def test_cycle_stage_on_a_working_set_matches_the_relabelled_copy(family, n, c, 
     cfg = PipelineConfig.derive(c, 0.1, seed=seed)
     cycset, rep = _cycle_stage(g, rest, cfg, strict_window=False)
     sub, mapping = induced_subgraph(g, rest)
-    ref, ref_rep = cycle_cover(sub, cfg, strict_window=False)
+    ref, ref_rep = _cycle_stage(sub, range(sub.n), cfg, strict_window=False)
+    assert ref == cycle_cover(sub, cfg, strict_window=False)[0]
     assert cycset.cycles == [Cycle(tuple(mapping[v] for v in cy.vertices)) for cy in ref.cycles]
     assert cycset.uncovered == frozenset(mapping[v] for v in ref.uncovered)
     assert rep.to_kv_text() == ref_rep.to_kv_text()
@@ -779,6 +810,23 @@ def test_path_cover_bipartite_connections_use_reservoir_y_side():
     for (_, _, w) in rep.merges:
         assert w in rep.reservoir_vertices and w in y
     assert verify_cover(g, cover, max_count=4, max_uncovered=8).ok
+
+
+def test_path_cover_reports_a_failed_audit(monkeypatch):
+    # a join across two cliques uses a non-edge; count and coverage still fit
+    def join_first_two(g, paths, limit):
+        if len(paths) < 2:
+            return paths, 0
+        return [Path(paths[0].vertices + paths[1].vertices)] + paths[2:], 1
+
+    g = extremal_family(GenSpec(20, 9, "disjoint-cliques"))
+    cfg = PipelineConfig.derive(0.45, 0.1, seed=0)
+    assert path_cover(g, cfg)[1].success
+    monkeypatch.setattr(pipeline, "_concat_paths", join_first_two)
+    cover, rep = path_cover(g, cfg)
+    check = verify_cover(g, cover, max_count=paths_limit(0.45), max_uncovered=2)
+    assert [i.name for i in check.items if not i.ok] == ["adjacency"]
+    assert not rep.success
 
 
 def test_path_cover_bipartite_rejects_plain_graph():

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import partial
 from unittest.mock import patch
 
 import pytest
@@ -11,7 +12,8 @@ from pathcover import regularity
 from pathcover._bits import mask_of, mix64
 from pathcover.generators import GenSpec, degree_from_ratio, extremal_family, generate
 from pathcover.graph import Graph, density, induced_subgraph
-from pathcover.pipeline import _default_t
+from pathcover.hamilton import hamiltonian_path, longest_cycle, longest_path, spanning_cycle_bipartite
+from pathcover.pipeline import PipelineConfig, _default_t
 from pathcover.regularity import (
     REFINE,
     ROW_CHUNK,
@@ -454,6 +456,26 @@ _PAIR = (_RING, [0, 1], [5, 6])
         pytest.param(degree_from_ratio, (0, 0.5), "need n > 0", id="n=0"),
         pytest.param(degree_from_ratio, (10, math.inf), r"c must be in \(0, 1\]", id="c=inf"),
         pytest.param(degree_from_ratio, (10, math.nan), r"c must be in \(0, 1\]", id="c=nan"),
+        pytest.param(degree_from_ratio, (True, 0.5), "n must be an integer", id="n=True"),
+        pytest.param(equitable_partition, (_RING, True), "t must be an integer", id="t=True"),
+        *(
+            pytest.param(
+                partial(PipelineConfig.derive, seed=seed), (0.5, 0.1), "seed must be an integer", id=f"seed={seed}"
+            )
+            for seed in (1.5, True)
+        ),
+        *(
+            pytest.param(
+                partial(search, budget=budget), args, "budget must be positive", id=f"{search.__name__}-{budget}"
+            )
+            for search, args, budgets in (
+                (hamiltonian_path, (_RING,), (0, -3, math.nan, math.inf)),
+                (spanning_cycle_bipartite, (_RING, [0, 2, 4], [1, 3, 5]), (0, -3, math.nan, math.inf)),
+                (longest_path, (_RING,), (math.nan, math.inf)),  # 0 and -3: tests/test_hamilton.py
+                (longest_cycle, (_RING,), (math.nan, math.inf)),
+            )
+            for budget in budgets
+        ),
     ],
 )
 def test_parameter_errors_are_value_errors(fn, args, match):
