@@ -963,6 +963,6 @@ def verify_cover(
 
 
 def _record_audit(rep: RunReport, check: CoverCheck) -> None:
-    """Copy the audit's counts into `rep`; its verdict is `rep.success`."""
+    """Copy the audit's counts and verdict into `rep`: `rep.success` is `check.ok`."""
     rep.final_count, rep.covered, rep.uncovered = check.count, check.covered, check.uncovered
     rep.success = check.ok
