@@ -316,6 +316,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.oracle_cmd in ("berge-tutte", "chernoff") and args.n_max < 1:
+        raise ValueError(f"--n-max must be >= 1, got {args.n_max}")
     if args.oracle_cmd == "conjecture":
         extras = [
             petersen_graph(),

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -448,19 +449,12 @@ def _regularity_cycles(
         rep.note(f"clusters too small (t={t}, m={m}) for the regularity route")
         return None
     eps_f = Fraction(eps)
-    # the scoring product yields the chosen draw's pair counts; both the
-    # verdicts and the cluster graph read them. With closed-form verdicts it
-    # is skipped (counts None) when no pair of any draw can be regular.
-    closed_form = _single_vertex_verdict(0, m, m, eps_f) is not None
-    part, counts = _partition_with_counts(g, rest, t, mix64(cfg.seed, 0x9A91), closed_form)
+    # the one draw's pair counts feed both the verdicts and the cluster graph
+    part, counts = _partition_with_counts(g, rest, t, mix64(cfg.seed, 0x9A91))
     part.validate(rest)
     rep.t, rep.m, rep.v0 = part.t, part.m, len(part.exceptional)
     if len(part.exceptional) > _dec(eps) * n:
         rep.note(f"|V_0|={rep.v0} exceeds eps*n={float(eps) * n:.2f}")
-    if counts is None:
-        rep.regular_pair_fraction, rep.cluster_edges = 0.0, 0
-        rep.note("no dense regular pairs")
-        return None
     verdicts: dict[tuple[int, int], bool] = {}
     for (i, j), e in counts.items():
         verdict = _single_vertex_verdict(e, m, m, eps_f)
@@ -908,14 +902,16 @@ def verify_cover(
     audit's verdict at their caps."""
     closed = isinstance(cover, CycleSet)
     units: Sequence = cover.cycles if closed else cover.paths
-    n = g.n
+    n, adj = g.n, g._adj
     covered: set[int] = set()  # the vertices of the units scanned so far
     bad_edge = repeat = shared = None
     for u_idx, unit in enumerate(units):
         vs = unit.vertices
         if bad_edge is None:
-            for a, b in zip(vs, vs[1:] + vs[:1]) if closed else zip(vs, vs[1:]):
-                if not (0 <= a < n and 0 <= b < n and g.adjacent(a, b)):
+            ids = [operator.index(v) for v in vs]
+            in_range = 0 <= min(ids) and max(ids) < n  # else each edge tests its own ends
+            for a, b in zip(ids, ids[1:] + ids[:1]) if closed else zip(ids, ids[1:]):
+                if not ((in_range or 0 <= a < n and 0 <= b < n) and (adj[a] >> b) & 1):
                     bad_edge = (u_idx, a, b)
                     break
         if repeat is None and len(set(vs)) != len(vs):

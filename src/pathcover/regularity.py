@@ -2,15 +2,10 @@
 super-regular cleaning.
 
 There is no attempt to certify the partition the way the tower-type
-existence argument would; instead partitions are drawn at random (best of
-several draws by mean-square density, or one draw on a complete or edgeless
-working set, where every draw ties) and every pair the pipeline relies on is
-verified per instance. A partition may cover a working subset, read in
-place. One chunked product of its adjacency with every draw's cluster
-indicators scores all draws and gives the chosen draw's pair counts. A
-caller whose verdicts are closed-form (regular only with 0 or m^2 edges)
-skips that product when a cheap check proves every pair of every draw
-mixed: then every draw gives it the same result.
+existence argument would; instead the partition is one seeded random draw,
+and every pair the pipeline relies on is verified per instance. A partition
+may cover a working subset, read in place; its pair counts e(V_i, V_j) are
+popcounts of adjacency rows against cluster masks.
 
 Regularity verdicts come in two modes:
 
@@ -29,7 +24,6 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -40,8 +34,6 @@ from ._bits import bits, int_arg, mask_of, mix64
 from .graph import Graph, VertexSet, _adjacency_block, _vertex_mask, density
 
 EXACT_CAP = 10
-REFINE = 20
-ROW_CHUNK = 256  # working rows unpacked per step of the partition's scoring product
 
 Threshold = Union[int, float, Fraction]
 
@@ -107,38 +99,19 @@ class ClusterGraph:
 
 def equitable_partition(g: Graph, t: int, seed: int = 0) -> Partition:
     """Random equitable partition into t clusters of even size m = floor(n/t)
-    (rounded down to even); leftovers go to the exceptional set.
-
-    Keeps the draw of largest mean-square density, which partition refinement
-    drives up, of REFINE draws (one where all tie: a complete or edgeless g).
-    """
+    (rounded down to even); leftovers go to the exceptional set."""
     return _partition_with_counts(g, range(g.n), t, seed)[0]
 
 
 PairCounts = dict[tuple[int, int], int]
 
 
-def _partition_with_counts(
-    g: Graph, within: Sequence[int], t: int, seed: int, closed_form: bool = False
-) -> tuple[Partition, Optional[PairCounts]]:
+def _partition_with_counts(g: Graph, within: Sequence[int], t: int, seed: int) -> tuple[Partition, PairCounts]:
     """`equitable_partition` of the subgraph induced on the sorted ids
-    `within`, in g's ids, with the chosen draw's counts e(V_i, V_j), i < j.
+    `within`, in g's ids, with its counts e(V_i, V_j), i < j.
 
-    Each draw shuffles the positions 0..n'-1 and maps them through `within`,
-    as a relabelled copy of the subgraph would. On a complete or edgeless
-    `within` only draw 0 is made: every pair of every draw has e(V_i, V_j) =
-    m^2 (or 0), so all draws tie.
-
-    With `closed_form`, the caller calls a pair regular only if e(V_i, V_j)
-    is 0 or m^2. If `_every_pair_mixed` then shows that no pair of any draw
-    is, every draw gives the caller the same result, so draw 0 is returned
-    with counts None and nothing is scored.
-
-    Otherwise the draws are scored by one product A @ P: A is the 0/1
-    adjacency of `within`, unpacked ROW_CHUNK rows at a time as float32, and
-    P holds every draw's cluster indicators, set from its shuffle. Each entry
-    of A @ P counts at most n' < 2**24 ones, so it is exact; each draw sums
-    its clusters' rows in int64, since e(V_i, V_j) reaches m^2.
+    The draw shuffles the positions 0..n'-1 and maps them through `within`,
+    as a relabelled copy of the subgraph would.
     """
     n = len(within)
     t = int_arg("t", t)
@@ -147,32 +120,8 @@ def _partition_with_counts(
     m = (n // t) & ~1
     if m == 0:
         raise ValueError(f"clusters would be empty with t={t}, n={n}")
-    draws = 1 if _every_draw_ties(g, within) else REFINE
-    perms = np.array([_shuffled(n, mix64(seed, 0x9A27, round_)) for round_ in range(draws)], dtype=np.intp)
-    cols = np.asarray(within)
-    if closed_form and _every_pair_mixed(g, cols[perms[:, : t * m]], t, m):
-        return _draw_partition(within, perms[0].tolist(), t, m), None
-    # p[pos, round*t + i]: is working position pos in cluster i of that draw
-    p = np.zeros((n, draws * t), dtype=np.float32)
-    p[perms[:, : t * m], np.arange(draws)[:, None] * t + np.arange(t * m) // m] = 1
-    ap = np.empty((n, draws * t), dtype=np.float32)
-    for lo in range(0, n, ROW_CHUNK):
-        rows = within[lo : lo + ROW_CHUNK]
-        ap[lo : lo + len(rows)] = _adjacency_block(g, rows, cols).astype(np.float32) @ p
-    # counts[round, i, j]: ap's column (round, j) summed over cluster i's rows
-    member = ap.reshape(n, draws, t)[perms[:, : t * m], np.arange(draws)[:, None]]
-    counts = member.reshape(draws, t, m, t).sum(axis=2, dtype=np.int64)
-    pairs = [(i, j) for i in range(t) for j in range(i + 1, t)]
-    best, best_index = 0, -1.0
-    for round_, e in enumerate(counts.tolist()):
-        total = 0.0
-        for i, j in pairs:  # plain left-to-right sum: its rounding picks the draw
-            total += (e[i][j] / (m * m)) ** 2
-        index = total / len(pairs) if pairs else 0.0
-        if index > best_index:
-            best, best_index = round_, index
-    e = counts[best].tolist()
-    return _draw_partition(within, perms[best].tolist(), t, m), {(i, j): e[i][j] for i, j in pairs}
+    part = _draw_partition(within, _shuffled(n, mix64(seed, 0x9A27, 0)), t, m)
+    return part, _pair_counts(g, part)
 
 
 def _shuffled(n: int, seed: int) -> list[int]:
@@ -203,42 +152,6 @@ def _draw_partition(within: Sequence[int], perm: list[int], t: int, m: int) -> P
         tuple(frozenset(ids[i * m : (i + 1) * m]) for i in range(t)),
         m,
     )
-
-
-def _every_pair_mixed(g: Graph, clusters: np.ndarray, t: int, m: int) -> bool:
-    """Is 0 < e(V_i, V_j) < m^2 for every pair of every draw? `clusters[d]`
-    holds draw d's t clusters of m ids in a row. A vertex of V_i with both a
-    neighbour and a non-neighbour in V_j proves it; the first 8 vertices of
-    V_i are tried against V_j, then those of V_j against V_i. False if some
-    pair is left open."""
-    rows = len(clusters) * t  # row d*t + i is cluster i of draw d
-    member = np.zeros((rows, g.n), dtype=bool)
-    member[np.arange(rows).repeat(m), clusters.ravel()] = True
-    packed = np.packbits(member, axis=1, bitorder="little")
-    masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
-    heads = clusters.reshape(rows, m)[:, :8].tolist()
-
-    def splits(vs: list[int], mask: int) -> bool:
-        return any(0 < g.adjacency_mask(v) & mask != mask for v in vs)
-
-    return all(
-        splits(heads[i], masks[j]) or splits(heads[j], masks[i])
-        for base in range(0, rows, t)
-        for i in range(base, base + t)
-        for j in range(i + 1, base + t)
-    )
-
-
-def _every_draw_ties(g: Graph, within: Sequence[int]) -> bool:
-    """Does the sorted id list `within` induce a complete or an edgeless graph?
-    A first vertex of degree below n'-1 with a working neighbour rules out both."""
-    n, first = len(within), g.adjacency_mask(within[0])
-    linked = any((i := bisect_left(within, w)) < n and within[i] == w for w in bits(first))
-    if linked and first.bit_count() < n - 1:
-        return False
-    rmask = mask_of(within)
-    want = rmask if linked else 0  # complete: each v sees all of within but v; edgeless: none
-    return all((g.adjacency_mask(v) | linked << v) & rmask == want for v in within)
 
 
 def _pair_counts(g: Graph, p: Partition) -> PairCounts:

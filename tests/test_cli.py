@@ -425,6 +425,24 @@ def test_oracle_rejects_negative_samples(capsys, command):
     assert err.startswith("error:") and "samples must be >= 0" in err
 
 
+@pytest.mark.parametrize(
+    "command, n_max",
+    [
+        (["oracle", "chernoff", "--n-max", "0"], 0),
+        (["oracle", "chernoff", "--n-max", "-1"], -1),
+        (["oracle", "berge-tutte", "--n-max", "0", "--samples", "3"], 0),
+        (["oracle", "berge-tutte", "--n-max", "-3", "--samples", "3"], -3),
+        (["oracle", "berge-tutte", "--n-max", "0", "--exhaustive"], 0),
+    ],
+    ids=["chernoff-0", "chernoff-neg", "berge-tutte-0", "berge-tutte-neg", "berge-tutte-exhaustive-0"],
+)
+def test_oracle_rejects_n_max_below_one(capsys, command, n_max):
+    code, out, err = run(capsys, *command)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and f"--n-max must be >= 1, got {n_max}" in err
+
+
 def test_berge_tutte_instances_reject_negative_samples():
     with pytest.raises(ValueError, match="samples must be >= 0, got -1"):
         next(_berge_tutte_instances(4, True, -1, 0))

@@ -21,7 +21,7 @@ from pathcover.generators import (
 )
 from pathcover.graph import Graph, induced_subgraph
 from pathcover.hamilton import Cycle, Path
-from pathcover import pipeline, regularity
+from pathcover import pipeline
 from pathcover.regularity import Partition, is_eps_regular
 from pathcover.pipeline import (
     CycleSet,
@@ -568,7 +568,7 @@ def test_verify_catches_non_edge():
     assert any(i.name == "adjacency" and not i.ok for i in chk.items)
 
 
-@pytest.mark.parametrize("pair", [(5, 0), (-1, 1)])
+@pytest.mark.parametrize("pair", [(5, 0), (-1, 1), (np.int64(-1), np.int64(1)), (np.int64(5), 0)])
 def test_verify_reports_out_of_range_pair_as_non_edge(pair):
     # -1 must not wrap around to vertex 2, which is a neighbor of 1
     g = Graph(3, [(0, 1), (1, 2)])
@@ -576,6 +576,13 @@ def test_verify_reports_out_of_range_pair_as_non_edge(pair):
     adjacency = next(i for i in chk.items if i.name == "adjacency")
     assert not adjacency.ok
     assert adjacency.detail == f"unit 0 uses non-edge ({pair[0]},{pair[1]})"
+
+
+def test_verify_accepts_numpy_ids_past_bit_63():
+    # an adjacency row past bit 63 cannot be shifted by a bare numpy integer
+    g = Graph(100, [(v, v + 1) for v in range(99)])
+    chk = verify_cover(g, PathCover([Path(tuple(np.arange(100)))], frozenset()))
+    assert chk.ok, chk.items
 
 
 def test_verify_catches_count_overflow():
@@ -624,23 +631,18 @@ def test_single_vertex_verdict_declines_outside_its_range(na, nb, eps):
 
 @pytest.mark.parametrize("family, c", [("random-regular", 0.3), ("random-bipartite-regular", 0.3)])
 @pytest.mark.parametrize("n", [120, 600])
-def test_skipped_scoring_gives_the_scored_cover_and_report(family, c, n, monkeypatch):
-    cover_fn = path_cover if family == "random-regular" else path_cover_bipartite
-    skipped = []
-    real_check = regularity._every_pair_mixed
-    monkeypatch.setattr(
-        regularity, "_every_pair_mixed", lambda *args: skipped.append(real_check(*args)) or skipped[-1]
-    )
+def test_closed_form_route_on_random_host_finds_no_dense_regular_pair(family, c, n):
+    # eps*m < 1: a pair is regular only with 0 or m^2 edges, which no pair of
+    # a random host has, so every verdict is False and the route stops
+    m = (n // _default_t(n)) & ~1
     for seed in range(4):
         g = generate(GenSpec(n, degree_from_ratio(n, c), family, seed))
         cfg = PipelineConfig.derive(c, 0.1, seed=seed)
-        cover, rep = cover_fn(g, cfg)
-        with monkeypatch.context() as m:
-            m.setattr(regularity, "_every_pair_mixed", lambda *args: False)
-            scored_cover, scored_rep = cover_fn(g, cfg)
-        assert rep.to_kv_text() == scored_rep.to_kv_text()
-        assert write_cover_file(cover) == write_cover_file(scored_cover)
-    assert skipped and all(skipped)  # every cover above skipped the scoring
+        assert _single_vertex_verdict(0, m, m, Fraction(cfg.eps)) is not None
+        rep = dataclasses.replace(RunReport(), regular_pair_fraction=-1.0, cluster_edges=-1)
+        assert pipeline._regularity_cycles(g, range(n), cfg, rep) is None
+        assert (rep.regular_pair_fraction, rep.cluster_edges) == (0.0, 0)
+        assert rep.notes[-1] == "no dense regular pairs"
 
 
 def test_cycle_cover_rejects_degree_window_violation():

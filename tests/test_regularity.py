@@ -9,17 +9,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pathcover import regularity
-from pathcover._bits import mask_of, mix64
-from pathcover.generators import GenSpec, degree_from_ratio, extremal_family, generate
+from pathcover._bits import mix64
+from pathcover.generators import GenSpec, degree_from_ratio, generate
 from pathcover.graph import Graph, density, induced_subgraph
 from pathcover.hamilton import hamiltonian_path, longest_cycle, longest_path, spanning_cycle_bipartite
-from pathcover.pipeline import PipelineConfig, _default_t
+from pathcover.pipeline import PipelineConfig
 from pathcover.regularity import (
-    REFINE,
-    ROW_CHUNK,
     CleaningFailed,
     Partition,
-    _every_draw_ties,
     _pair_counts,
     _partition_with_counts,
     build_cluster_graph,
@@ -101,36 +98,16 @@ def test_partition_determinism():
     assert equitable_partition(g, 3, seed=7) == equitable_partition(g, 3, seed=7)
 
 
-def reference_mean_square_density(g, clusters, m):
-    """Mean of (e(V_i, V_j) / m^2)^2 over pairs i < j, summed left to right."""
-    t = len(clusters)
-    if t < 2:
-        return 0.0
-    masks = [mask_of(cl) for cl in clusters]
-    total = 0.0
-    for i in range(t):
-        for j in range(i + 1, t):
-            e = sum((g.adjacency_mask(v) & masks[j]).bit_count() for v in clusters[i])
-            total += (e / (m * m)) ** 2
-    return total / (t * (t - 1) / 2)
-
-
 def reference_partition(g, t, seed, within=None):
-    """The partition loop as first written: relabel the working set to
-    0..n'-1, score REFINE shuffles one by one, keep the first best, map back."""
+    """The partition as first written: relabel the working set to 0..n'-1,
+    shuffle it once, cut t clusters of m, map back."""
     sub, mapping = induced_subgraph(g, range(g.n) if within is None else within)
     m = (sub.n // t) & ~1
-    best, best_index = None, -1.0
-    for round_ in range(REFINE):
-        perm = list(range(sub.n))
-        random.Random(mix64(seed, 0x9A27, round_)).shuffle(perm)
-        clusters = [perm[i * m : (i + 1) * m] for i in range(t)]
-        index = reference_mean_square_density(sub, clusters, m)
-        if index > best_index:
-            best, best_index = perm, index
+    perm = list(range(sub.n))
+    random.Random(mix64(seed, 0x9A27, 0)).shuffle(perm)
     return Partition(
-        frozenset(mapping[v] for v in best[t * m :]),
-        tuple(frozenset(mapping[v] for v in best[i * m : (i + 1) * m]) for i in range(t)),
+        frozenset(mapping[v] for v in perm[t * m :]),
+        tuple(frozenset(mapping[v] for v in perm[i * m : (i + 1) * m]) for i in range(t)),
         m,
     )
 
@@ -138,7 +115,7 @@ def reference_partition(g, t, seed, within=None):
 @st.composite
 def partition_inputs(draw):
     """(graph, t, seed): n <= 200, t in 1..8 with nonempty clusters, and an
-    edge probability that includes 0 (every draw ties) and 1."""
+    edge probability that includes 0 and 1."""
     n = draw(st.integers(2, 200))
     t = draw(st.integers(1, min(8, n // 2)))
     p = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
@@ -156,31 +133,28 @@ def test_partition_matches_reference_loop(case):
 
 @st.composite
 def working_set_inputs(draw):
-    """(graph, sorted working set, t, seed, row chunk): the working set is a
-    random subset of at least two vertices, and the chunk is often smaller
-    than the set and not a divisor of its size."""
+    """(graph, sorted working set, t, seed): the working set is a random
+    subset of at least two vertices."""
     g, _, seed = draw(partition_inputs())
     keep = draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
     rest = [v for v in range(g.n) if keep[v]]
     assume(len(rest) >= 2)
     t = draw(st.integers(1, min(8, len(rest) // 2)))
-    return g, rest, t, seed, draw(st.sampled_from([1, 7, 16, 64, ROW_CHUNK]))
+    return g, rest, t, seed
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(working_set_inputs())
 def test_working_set_partition_matches_reference_loop(case):
-    g, rest, t, seed, chunk = case
-    with patch.object(regularity, "ROW_CHUNK", chunk):
-        part, counts = _partition_with_counts(g, rest, t, seed)
+    g, rest, t, seed = case
+    part, counts = _partition_with_counts(g, rest, t, seed)
     assert part == reference_partition(g, t, seed, within=rest)
     part.validate(rest)
     assert counts == _pair_counts(g, part)
 
 
-def test_working_set_partition_with_exceptional_vertices_and_partial_chunk():
-    # 300 working vertices: one full chunk of 256 rows and a partial one;
-    # t = 7 gives m = 42 and leaves 6 vertices in V_0
+def test_working_set_partition_with_exceptional_vertices():
+    # t = 7 on 300 working vertices gives m = 42 and leaves 6 vertices in V_0
     rng = random.Random(11)
     edges = [(u, v) for u in range(320) for v in range(u + 1, 320) if rng.random() < 0.4]
     g = Graph(320, edges)
@@ -191,8 +165,7 @@ def test_working_set_partition_with_exceptional_vertices_and_partial_chunk():
     assert counts == _pair_counts(g, part)
 
 
-def test_partition_edgeless_graph_keeps_the_first_draw():
-    # every score is 0.0, so strict > keeps draw 0
+def test_partition_edgeless_graph_cuts_the_shuffle_in_order():
     g = Graph(50, [])
     perm = list(range(50))
     random.Random(mix64(3, 0x9A27, 0)).shuffle(perm)
@@ -201,74 +174,46 @@ def test_partition_edgeless_graph_keeps_the_first_draw():
     assert p.clusters[0] == frozenset(perm[:12]) and p.exceptional == frozenset(perm[48:])
 
 
-def _clique_and_independent_host():
-    """60 vertices: the even ids form a clique, and each odd id is joined to
-    about half of the even ids and to no odd id. So the evens induce a
-    complete graph and the odds an edgeless one, and every vertex of either
-    set has neighbours outside it."""
+def _one_draw_hosts():
+    """(graph, working sets) per case: both random families and unions of
+    cliques and bicliques, each whole and with every seventh vertex left
+    out, and working sets that induce a clique or an edgeless graph inside
+    a host that is neither."""
+    for family, cs in (("random-regular", (0.1, 0.3, 0.6)), ("random-bipartite-regular", (0.1, 0.3))):
+        for n in (40, 60, 120, 600):
+            for c in cs:
+                yield pytest.param(family, n, degree_from_ratio(n, c), None, id=f"{family}-{n}-c{c}")
+    for family, n, k in (
+        ("disjoint-cliques", 60, 59),  # K60
+        ("disjoint-cliques", 120, 59),  # 2 x K60
+        ("disjoint-cliques", 120, 19),
+        ("disjoint-bicliques", 120, 30),
+        ("disjoint-bicliques", 120, 10),
+    ):
+        yield pytest.param(family, n, k, None, id=f"{family}-{n}-k{k}")
+    # the even ids form a clique; each odd id is joined to about half of the
+    # even ids and to no odd id
     rng = random.Random(5)
     evens, odds = range(0, 60, 2), range(1, 60, 2)
     edges = {(u, v) for u in evens for v in evens if u < v}
     edges |= {(min(u, v), max(u, v)) for u in odds for v in evens if rng.random() < 0.5}
-    return 60, edges, list(evens), list(odds)
+    yield pytest.param("host", 60, edges, list(evens), id="clique-in-host")
+    yield pytest.param("host", 60, edges, list(odds), id="independent-in-host")
 
 
-def _tie_cases():
-    """(host n, host edges, working set, edge whose toggle breaks the tie)
-    per case. Each case toggles one edge away from the first working vertex,
-    whose degree then passes the quick test, and one edge at it."""
-    k40 = {(u, v) for u in range(40) for v in range(u + 1, 40)}
-    n, edges, evens, odds = _clique_and_independent_host()
-    cases = {
-        "K40": (40, k40, list(range(40))),
-        "edgeless": (40, set(), list(range(40))),
-        "clique-in-host": (n, edges, evens),
-        "independent-in-host": (n, edges, odds),
-    }
-    return [
-        pytest.param(*cases[name], toggle, id=f"{name}-{toggle[0]}-{toggle[1]}")
-        for name, toggle in [
-            ("K40", (3, 17)), ("K40", (0, 1)),
-            ("edgeless", (3, 17)), ("edgeless", (0, 1)),
-            ("clique-in-host", (4, 30)), ("clique-in-host", (0, 2)),
-            ("independent-in-host", (5, 31)), ("independent-in-host", (1, 3)),
-        ]
-    ]
-
-
-def _partition_and_draws(g, within, t, seed):
-    """`_partition_with_counts` and the number of shuffles it made."""
-    with patch.object(regularity.random, "Random", wraps=random.Random) as rng:
-        part, counts = _partition_with_counts(g, within, t, seed)
-    return part, counts, rng.call_count
-
-
-@pytest.mark.parametrize("n, edges, within, toggle", _tie_cases())
-def test_partition_scores_one_draw_when_every_draw_ties(n, edges, within, toggle):
-    g = Graph(n, edges)
-    assert _every_draw_ties(g, within)
-    part, counts, draws = _partition_and_draws(g, within, 4, seed=9)
-    assert draws == 1
-    assert part == reference_partition(g, 4, 9, within=within)
-    assert counts == _pair_counts(g, part)
-    # one working edge more or less: the draws no longer tie by construction
-    broken = Graph(n, edges ^ {toggle})
-    assert not _every_draw_ties(broken, within)
-    part, counts, draws = _partition_and_draws(broken, within, 4, seed=9)
-    assert draws == REFINE
-    assert part == reference_partition(broken, 4, 9, within=within)
-    assert counts == _pair_counts(broken, part)
-
-
-@pytest.mark.parametrize("family, k", [("random-regular", 72), ("random-bipartite-regular", 36)])
-def test_every_draw_ties_decides_random_hosts_without_a_working_mask(family, k):
-    # the first working vertex rules out both cases, so no mask of the working
-    # set is built; on a bipartite host all of its neighbours are on the other side
-    g = generate(GenSpec(240, k, family, seed=3))
-    within = [v for v in range(240) if v % 7]
-    with patch.object(regularity, "mask_of", wraps=mask_of) as masks:
-        assert not _every_draw_ties(g, within)
-    assert masks.call_count == 0
+@pytest.mark.parametrize("family, n, k, within", _one_draw_hosts())
+def test_partition_makes_one_draw_counted_by_popcount(family, n, k, within):
+    if family == "host":
+        g, sets = Graph(n, k), [within]
+    else:
+        g, sets = generate(GenSpec(n, k, family, seed=1)), [list(range(n)), [v for v in range(n) if v % 7]]
+    for within in sets:
+        for t in (2, 4, min(len(within) // 5, 24)):
+            with patch.object(regularity.random, "Random", wraps=random.Random) as rng:
+                part, counts = _partition_with_counts(g, within, t, seed=9)
+            assert rng.call_count == 1
+            assert part == reference_partition(g, t, 9, within=within)
+            assert counts == _pair_counts(g, part)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 600, 2340])
@@ -277,107 +222,6 @@ def test_shuffled_replays_random_shuffle(n):
         perm = list(range(n))
         random.Random(seed).shuffle(perm)
         assert regularity._shuffled(n, seed) == perm
-
-
-def _every_draw_pair_counts(g, within, t, seed):
-    """e(V_i, V_j) for every pair of each of the REFINE draws, cut as
-    `_partition_with_counts` cuts them, and the partition of draw 0."""
-    m = (len(within) // t) & ~1
-    counts, first = [], None
-    for round_ in range(REFINE):
-        perm = list(range(len(within)))
-        random.Random(mix64(seed, 0x9A27, round_)).shuffle(perm)
-        ids = [within[pos] for pos in perm]
-        part = Partition(
-            frozenset(ids[t * m :]), tuple(frozenset(ids[i * m : (i + 1) * m]) for i in range(t)), m
-        )
-        first = first or part
-        counts.extend(_pair_counts(g, part).values())
-    return counts, first
-
-
-def _skip_hosts():
-    for family, cs in (("random-regular", (0.1, 0.3, 0.6)), ("random-bipartite-regular", (0.1, 0.3))):
-        for n in (40, 60, 120, 600):
-            for c in cs:
-                yield pytest.param(family, n, degree_from_ratio(n, c), id=f"{family}-{n}-c{c}")
-    for family, n, k in (
-        ("disjoint-cliques", 60, 59),  # K60
-        ("disjoint-cliques", 120, 59),  # 2 x K60
-        ("disjoint-cliques", 120, 19),
-        ("disjoint-bicliques", 120, 30),
-        ("disjoint-bicliques", 120, 10),
-    ):
-        yield pytest.param(family, n, k, id=f"{family}-{n}-k{k}")
-
-
-@pytest.mark.parametrize("family, n, k", _skip_hosts())
-def test_skipped_scoring_only_where_every_pair_of_every_draw_is_mixed(family, n, k):
-    # a skip returns draw 0 with no counts; it must never hide a pair with
-    # e in {0, m^2}, which a closed-form verdict would call regular. Where it
-    # does not skip, the scoring is the one made without `closed_form`
-    g = generate(GenSpec(n, k, family, seed=1))
-    for within in (list(range(n)), [v for v in range(n) if v % 7]):
-        for t in (_default_t(len(within)), min(len(within) // 5, 24)):
-            for seed in range(4):
-                part, counts = _partition_with_counts(g, within, t, seed, closed_form=True)
-                every, first = _every_draw_pair_counts(g, within, t, seed)
-                if counts is None:
-                    assert all(0 < e < part.m**2 for e in every)
-                    assert part == first
-                else:
-                    assert (part, counts) == _partition_with_counts(g, within, t, seed)
-
-
-@pytest.mark.parametrize("family, n, k", [("random-regular", 600, 180), ("random-bipartite-regular", 600, 90)])
-def test_scoring_is_skipped_on_random_hosts(family, n, k):
-    g = generate(GenSpec(n, k, family, seed=0))
-    part, counts = _partition_with_counts(g, range(n), _default_t(n), seed=3, closed_form=True)
-    assert counts is None and part == _every_draw_pair_counts(g, range(n), _default_t(n), 3)[1]
-
-
-@pytest.mark.parametrize(
-    "n, k, t",
-    [
-        (60, 59, 4),  # K60: one draw, every pair complete
-        (40, 19, 10),  # 2 x K20 cut into clusters of 4: some pair lies inside one clique
-    ],
-)
-def test_scoring_runs_where_some_pair_is_empty_or_complete(n, k, t):
-    g = extremal_family(GenSpec(n, k, "disjoint-cliques"))
-    m = (n // t) & ~1
-    assert any(e in (0, m * m) for e in _every_draw_pair_counts(g, range(n), t, 5)[0])
-    part, counts = _partition_with_counts(g, range(n), t, 5, closed_form=True)
-    assert counts is not None
-    assert (part, counts) == _partition_with_counts(g, range(n), t, 5)
-
-
-@st.composite
-def tie_inputs(draw):
-    """(graph, sorted working set) with n <= 30. The working set is often made
-    a clique or an independent set inside a host that is neither."""
-    n = draw(st.integers(1, 30))
-    p = draw(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]))
-    rng = random.Random(draw(st.integers(0, 2**16)))
-    edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
-    keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    within = [v for v in range(n) if keep[v]]
-    assume(within)
-    inner = {(u, v) for u in within for v in within if u < v}
-    mode = draw(st.sampled_from(["as drawn", "clique", "independent"]))
-    if mode == "clique":
-        edges |= inner
-    elif mode == "independent":
-        edges -= inner
-    return Graph(n, edges), within
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(tie_inputs())
-def test_every_draw_ties_iff_working_set_is_complete_or_edgeless(case):
-    g, within = case
-    links = [g.adjacent(u, v) for i, u in enumerate(within) for v in within[i + 1 :]]
-    assert _every_draw_ties(g, within) == (all(links) or not any(links))
 
 
 # ------------------------------------------------------------------ regularity
