@@ -110,8 +110,8 @@ def _partition_with_counts(g: Graph, within: Sequence[int], t: int, seed: int) -
     """`equitable_partition` of the subgraph induced on the sorted ids
     `within`, in g's ids, with its counts e(V_i, V_j), i < j.
 
-    The draw shuffles the positions 0..n'-1 and maps them through `within`,
-    as a relabelled copy of the subgraph would.
+    The draw shuffles the positions 0..n'-1, maps them through `within`, as
+    a relabelled copy of the subgraph would, and cuts t clusters of m in order.
     """
     n = len(within)
     t = int_arg("t", t)
@@ -120,7 +120,8 @@ def _partition_with_counts(g: Graph, within: Sequence[int], t: int, seed: int) -
     m = (n // t) & ~1
     if m == 0:
         raise ValueError(f"clusters would be empty with t={t}, n={n}")
-    part = _draw_partition(within, _shuffled(n, mix64(seed, 0x9A27, 0)), t, m)
+    ids = [within[pos] for pos in _shuffled(n, mix64(seed, 0x9A27, 0))]
+    part = Partition(frozenset(ids[t * m :]), tuple(frozenset(ids[i * m : (i + 1) * m]) for i in range(t)), m)
     return part, _pair_counts(g, part)
 
 
@@ -142,16 +143,6 @@ def _shuffled(n: int, seed: int) -> list[int]:
             x[i], x[j] = x[j], x[i]
         hi = lo
     return x
-
-
-def _draw_partition(within: Sequence[int], perm: list[int], t: int, m: int) -> Partition:
-    """The partition a draw's shuffled positions `perm` cut from `within`."""
-    ids = [within[pos] for pos in perm]
-    return Partition(
-        frozenset(ids[t * m :]),
-        tuple(frozenset(ids[i * m : (i + 1) * m]) for i in range(t)),
-        m,
-    )
 
 
 def _pair_counts(g: Graph, p: Partition) -> PairCounts:
