@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from pathcover import regularity
 from pathcover._bits import mix64
-from pathcover.generators import GenSpec, degree_from_ratio, generate
+from pathcover.generators import GenSpec, degree_from_ratio, extremal_family, generate
 from pathcover.graph import Graph, density, induced_subgraph
 from pathcover.hamilton import hamiltonian_path, longest_cycle, longest_path, spanning_cycle_bipartite
-from pathcover.pipeline import PipelineConfig
+from pathcover.pipeline import PipelineConfig, _default_t
 from pathcover.regularity import (
     CleaningFailed,
     Partition,
@@ -177,8 +177,8 @@ def test_partition_edgeless_graph_cuts_the_shuffle_in_order():
 def _one_draw_hosts():
     """(graph, working sets) per case: both random families and unions of
     cliques and bicliques, each whole and with every seventh vertex left
-    out, and working sets that induce a clique or an edgeless graph inside
-    a host that is neither."""
+    out, K40 and the edgeless graph on 40 vertices, and working sets that
+    induce a clique or an edgeless graph inside a host that is neither."""
     for family, cs in (("random-regular", (0.1, 0.3, 0.6)), ("random-bipartite-regular", (0.1, 0.3))):
         for n in (40, 60, 120, 600):
             for c in cs:
@@ -199,6 +199,9 @@ def _one_draw_hosts():
     edges |= {(min(u, v), max(u, v)) for u in odds for v in evens if rng.random() < 0.5}
     yield pytest.param("host", 60, edges, list(evens), id="clique-in-host")
     yield pytest.param("host", 60, edges, list(odds), id="independent-in-host")
+    k40 = {(u, v) for u in range(40) for v in range(u + 1, 40)}
+    yield pytest.param("host", 40, k40, list(range(40)), id="K40")
+    yield pytest.param("host", 40, set(), list(range(40)), id="edgeless")
 
 
 @pytest.mark.parametrize("family, n, k, within", _one_draw_hosts())
@@ -214,6 +217,42 @@ def test_partition_makes_one_draw_counted_by_popcount(family, n, k, within):
             assert rng.call_count == 1
             assert part == reference_partition(g, t, 9, within=within)
             assert counts == _pair_counts(g, part)
+
+
+def edge_by_edge_counts(g, part):
+    """e(V_i, V_j) for i < j, one `Graph.adjacent` call per vertex pair."""
+    clusters = [sorted(cl) for cl in part.clusters]
+    return {
+        (i, j): sum(g.adjacent(u, v) for u in clusters[i] for v in clusters[j])
+        for i in range(part.t)
+        for j in range(i + 1, part.t)
+    }
+
+
+@pytest.mark.parametrize(
+    "n, k, t",
+    [
+        (60, 59, 4),  # K60: every pair complete
+        (40, 19, 20),  # 2 x K20 cut into clusters of 2: some pairs empty, some complete
+    ],
+)
+def test_pair_counts_exact_where_some_pair_is_empty_or_complete(n, k, t):
+    # a closed-form verdict calls a pair with e in {0, m^2} regular, so these
+    # counts must be exact at both ends
+    g = extremal_family(GenSpec(n, k, "disjoint-cliques"))
+    part, counts = _partition_with_counts(g, range(n), t, 5)
+    assert any(e in (0, part.m**2) for e in counts.values())
+    assert counts == edge_by_edge_counts(g, part)
+
+
+@pytest.mark.parametrize("family, n, k", [("random-regular", 600, 180), ("random-bipartite-regular", 600, 90)])
+def test_random_host_pairs_are_all_mixed(family, n, k):
+    # no pair of a random host at the default t is empty or complete, so the
+    # closed-form route finds no regular pair there
+    g = generate(GenSpec(n, k, family, seed=0))
+    part, counts = _partition_with_counts(g, range(n), _default_t(n), seed=3)
+    assert counts == edge_by_edge_counts(g, part)
+    assert all(0 < e < part.m**2 for e in counts.values())
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 600, 2340])
