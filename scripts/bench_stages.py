@@ -21,7 +21,12 @@ and one copy of this script can time another checkout. Given twice, with
 one --label (and --commit, if any) per --src, it times two trees cell by
 cell: each cell runs once per tree back to back, the tree that goes first
 alternating from one cell to the next, so that drift between batches
-falls on both trees alike. Each tree gets its own BENCH_<label>.json.
+falls on both trees alike. Each tree gets its own BENCH_<label>.json. It
+then prints every cell whose `cover_sha256` differs between the trees, and
+exits 1 unless --expect-moved names exactly those cells:
+
+    python scripts/bench_stages.py --label parent --src ../parent/src \
+        --label change --src src --expect-moved regular-600-c0.3
 
 A run generates the graph, covers it (`path_cover`, or
 `path_cover_bipartite` for the bipartite family) and audits the cover with
@@ -30,13 +35,16 @@ A run generates the graph, covers it (`path_cover`, or
 over each cover's calls. Times are given in ms as the median and quartiles
 over the RUNS (10) runs of each cell, a length fixed so that every BENCH
 file is comparable. Every run of a cell must give the same outcome (method,
-paths, uncovered, audit). A full run takes about 1.5 minutes on a 2-CPU
+paths, uncovered, audit, and `cover_sha256`: the sha256 of the run report,
+the cover file and the merge log, hashed as `scripts/identity_digest.py`
+hashes a cover). A full run takes about 1.5 minutes on a 2-CPU
 machine (twice that for two trees); the n=10^4 cell peaks near 445 MB.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -93,10 +101,43 @@ def _quartiles(values: list[float]) -> dict[str, float]:
     return {"median": round(median, 3), "q1": round(q1, 3), "q3": round(q3, 3)}
 
 
+def _setup(cell: Cell):
+    """(spec, config, cover function, paths limit) of the cell, from the
+    pathcover on the path."""
+    import pathcover.pipeline as pipeline
+    from pathcover.generators import GenSpec, degree_from_ratio
+
+    bipartite = cell.family == "random-bipartite-regular"
+    cover_fn = pipeline.path_cover_bipartite if bipartite else pipeline.path_cover
+    limit = (pipeline.paths_limit_bipartite if bipartite else pipeline.paths_limit)(cell.c)
+    spec = GenSpec(cell.n, degree_from_ratio(cell.n, cell.c), cell.family, cell.seed)
+    cfg = pipeline.PipelineConfig.derive(cell.c, cell.alpha, seed=cell.seed, **cell.overrides)
+    return spec, cfg, cover_fn, limit
+
+
+def cover_sha256(cover, rep) -> str:
+    """sha256 of the run report, the cover file and the merge log."""
+    from pathcover.cli import write_cover_file
+
+    text = rep.to_kv_text() + write_cover_file(cover) + f"merges={rep.merges}\n"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def cover_lines(names) -> list[str]:
+    """One `name cover_sha256` line per named cell, from one run each."""
+    from pathcover.generators import generate
+
+    lines = []
+    for name in names:
+        spec, cfg, cover_fn, _ = _setup(CELLS[name])
+        lines.append(f"{name} {cover_sha256(*cover_fn(generate(spec), cfg))}")
+    return lines
+
+
 def run_cell(cell: Cell) -> dict:
     """Time RUNS runs of the cell in this process; times in ms."""
     import pathcover.pipeline as pipeline
-    from pathcover.generators import GenSpec, degree_from_ratio, generate
+    from pathcover.generators import generate
 
     spent = {name: 0.0 for name in STAGES}
 
@@ -112,11 +153,7 @@ def run_cell(cell: Cell) -> dict:
 
     for name in STAGES:
         setattr(pipeline, name, timed(name, getattr(pipeline, name)))
-    bipartite = cell.family == "random-bipartite-regular"
-    cover_fn = pipeline.path_cover_bipartite if bipartite else pipeline.path_cover
-    limit = (pipeline.paths_limit_bipartite if bipartite else pipeline.paths_limit)(cell.c)
-    spec = GenSpec(cell.n, degree_from_ratio(cell.n, cell.c), cell.family, cell.seed)
-    cfg = pipeline.PipelineConfig.derive(cell.c, cell.alpha, seed=cell.seed, **cell.overrides)
+    spec, cfg, cover_fn, limit = _setup(cell)
     times: dict[str, list[float]] = {key: [] for key in ("generate", "cover", "verify", *STAGES)}
     outcomes = set()
     for _ in range(RUNS):
@@ -131,14 +168,14 @@ def run_cell(cell: Cell) -> dict:
         t3 = time.perf_counter()
         for key, seconds in (("generate", t1 - t0), ("cover", t2 - t1), ("verify", t3 - t2), *spent.items()):
             times[key].append(seconds * 1000)
-        outcomes.add((rep.method, len(cover.paths), len(cover.uncovered), check.ok))
+        outcomes.add((rep.method, len(cover.paths), len(cover.uncovered), check.ok, cover_sha256(cover, rep)))
     if len(outcomes) != 1:
         raise RuntimeError(f"{cell.name}: runs disagree: {sorted(outcomes)}")
-    method, paths, uncovered, ok = outcomes.pop()
+    keys = ("method", "paths", "uncovered", "audit_ok", "cover_sha256")
     return {
         **asdict(cell),
         "k": spec.k,
-        "outcome": {"method": method, "paths": paths, "uncovered": uncovered, "audit_ok": ok},
+        "outcome": dict(zip(keys, outcomes.pop())),
         "ms": {key: _quartiles(values) for key, values in times.items() if key not in STAGES},
         "stage_ms": {key: _quartiles(times[key]) for key in STAGES},
         "cover_ms_runs": [round(v, 3) for v in times["cover"]],
@@ -171,6 +208,7 @@ def main(argv=None) -> int:
     ap.add_argument("--src", type=Path, action="append", help="the src directory to time (default: ./src)")
     ap.add_argument("--commit", action="append", help="recorded commit (default: git rev-parse HEAD at --src)")
     ap.add_argument("--cells", help="comma list of cell names (default: all)")
+    ap.add_argument("--expect-moved", default="", help="comma list of cells whose covers differ between two trees")
     ap.add_argument("--out-dir", type=Path, default=ROOT)
     ap.add_argument("--child", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
@@ -183,7 +221,10 @@ def main(argv=None) -> int:
     if args.commit and len(args.commit) != len(srcs):
         raise SystemExit("give --commit once per --src, or not at all")
     names = args.cells.split(",") if args.cells else list(CELLS)
-    unknown = [name for name in names if name not in CELLS]
+    expected = set(args.expect_moved.split(",")) - {""}
+    if expected and len(srcs) != 2:
+        raise SystemExit("--expect-moved needs two trees")
+    unknown = [name for name in [*names, *sorted(expected)] if name not in CELLS]
     if unknown:
         raise SystemExit(f"unknown cells: {', '.join(unknown)}; known: {', '.join(CELLS)}")
     args.out_dir.mkdir(parents=True, exist_ok=True)
@@ -209,6 +250,18 @@ def main(argv=None) -> int:
         out = args.out_dir / f"BENCH_{doc['label']}.json"
         out.write_text(json.dumps(doc, indent=1) + "\n")
         print(out)
+    if len(docs) == 1:
+        return 0
+    moved = [
+        a["name"]
+        for a, b in zip(docs[0]["cells"], docs[1]["cells"])
+        if a["outcome"]["cover_sha256"] != b["outcome"]["cover_sha256"]
+    ]
+    for name in moved:
+        print(f"cover moved: {name}")
+    if set(moved) != expected:
+        print(f"covers moved on {sorted(moved)}, expected {sorted(expected)}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -18,6 +18,12 @@ line per cover and one `family n c seed regularity sha256` line, so that two
 commits' outputs can be diffed to name the graphs and the covers that moved.
 The graph lines are not part of the summary hash.
 
+    python scripts/identity_digest.py --bench-cells
+
+prints instead one `cell sha256` line per `scripts/bench_stages.py` cell
+with n <= 2400, the digest of its cover, run report and merge log: the
+lines `tests/golden/bench_cell_covers.txt` pins.
+
 Grid: both random families at n in {40, 80, 120, 200, 300} with c in
 {0.1, 0.2, 0.3, 0.45, 0.6} (bipartite: {0.1, 0.15, 0.3, 0.45}) and seeds
 0-3, plus unions of cliques and of bicliques (six K_{20,20} among them) at
@@ -27,6 +33,7 @@ seeds 0-1: 404 covers. It takes about 5 s on a 2-CPU machine.
 import argparse
 import hashlib
 import sys
+from pathlib import Path
 
 from pathcover.cli import write_cover_file
 from pathcover.generators import GenSpec, degree_from_ratio, generate
@@ -82,7 +89,16 @@ def main(argv=()) -> int:
     ap.add_argument(
         "--lines", action="store_true", help="also print one digest line per graph, per cover and per regularity layer"
     )
+    ap.add_argument(
+        "--bench-cells", action="store_true", help="print one cover digest per bench_stages cell with n <= 2400 instead"
+    )
     args = ap.parse_args(argv)
+    if args.bench_cells:
+        sys.path.insert(0, str(Path(__file__).parent))
+        import bench_stages
+
+        print("\n".join(bench_stages.cover_lines(name for name, cell in bench_stages.CELLS.items() if cell.n <= 2400)))
+        return 0
     total = hashlib.sha256()
     count = 0
 

@@ -1,12 +1,17 @@
 """Smoke tests of scripts/bench_stages.py: one small cell through its child
-process, for one tree and for two."""
+process, for one tree and for two; the tree order and the check that both
+trees give the same covers with `measure` faked."""
 
 import importlib.util
 import json
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).parents[1] / "scripts" / "bench_stages.py"
+GOLDEN = Path(__file__).parent / "golden" / "bench_cell_covers.txt"
+OUTCOME = {"method": "greedy-fallback", "paths": 1, "uncovered": 0, "audit_ok": True}
 
 
 def _script():
@@ -26,7 +31,9 @@ def test_bench_stages_writes_one_cell(tmp_path, capsys):
     assert set(doc["machine"]) == {"nproc", "python", "numpy"}
     (cell,) = doc["cells"]
     assert (cell["name"], cell["family"], cell["n"], cell["k"]) == ("regular-600-c0.3", "random-regular", 600, 180)
-    assert cell["outcome"] == {"method": "greedy-fallback", "paths": 1, "uncovered": 0, "audit_ok": True}
+    digest = cell["outcome"].pop("cover_sha256")
+    assert cell["outcome"] == OUTCOME
+    assert f"regular-600-c0.3 {digest}" in GOLDEN.read_text().splitlines()
     assert set(cell["ms"]) == {"generate", "cover", "verify"}
     assert list(cell["stage_ms"]) == list(script.STAGES)
     for summary in (*cell["ms"].values(), *cell["stage_ms"].values()):
@@ -51,18 +58,57 @@ def test_bench_stages_times_two_trees(tmp_path, capsys):
         assert (doc["label"], doc["commit"], doc["runs"]) == (label, commit, script.RUNS)
         (cell,) = doc["cells"]
         assert cell["name"] == "regular-600-c0.3"
-        assert cell["outcome"] == {"method": "greedy-fallback", "paths": 1, "uncovered": 0, "audit_ok": True}
+        assert cell["outcome"].keys() == {*OUTCOME, "cover_sha256"}
 
 
 def test_bench_stages_alternates_which_tree_goes_first(tmp_path, monkeypatch):
     script = _script()
     calls = []
-    monkeypatch.setattr(script, "measure", lambda cell, src: calls.append((cell.name, src.name)) or {})
+    monkeypatch.setattr(
+        script, "measure", lambda cell, src: calls.append((cell.name, src.name)) or _fake_cell(cell.name, "same")
+    )
     cells = "regular-600-c0.3,regular-600-c0.45,regular-600-c0.6"
     trees = ["--label", "one", "--src", str(tmp_path / "a"), "--label", "two", "--src", str(tmp_path / "b")]
     assert script.main(["--cells", cells, "--commit", "c1", "--commit", "c2", "--out-dir", str(tmp_path), *trees]) == 0
     assert [src for _, src in calls] == ["a", "b", "b", "a", "a", "b"]
     assert [name for name, _ in calls[::2]] == cells.split(",")
+
+
+def _fake_cell(name: str, digest: str) -> dict:
+    return {"name": name, "outcome": {**OUTCOME, "cover_sha256": digest}}
+
+
+def test_bench_stages_exits_1_on_covers_that_moved_unexpected(tmp_path, monkeypatch, capsys):
+    # tree b moves the covers of the two c0.45 cells and keeps the third
+    script = _script()
+    moved = {"regular-600-c0.45", "bipartite-600-c0.45"}
+    monkeypatch.setattr(
+        script, "measure", lambda cell, src: _fake_cell(cell.name, src.name if cell.name in moved else "same")
+    )
+    cells = "regular-600-c0.3,regular-600-c0.45,bipartite-600-c0.45"
+    trees = ["--label", "one", "--src", str(tmp_path / "a"), "--label", "two", "--src", str(tmp_path / "b")]
+    argv = ["--cells", cells, "--commit", "c1", "--commit", "c2", "--out-dir", str(tmp_path), *trees]
+    for expect, code in (
+        ([], 1),
+        (["--expect-moved", "regular-600-c0.45"], 1),
+        (["--expect-moved", "regular-600-c0.45,bipartite-600-c0.45,regular-600-c0.3"], 1),
+        (["--expect-moved", "bipartite-600-c0.45,regular-600-c0.45"], 0),
+    ):
+        assert script.main([*argv, *expect]) == code, expect
+        out = capsys.readouterr().out.splitlines()
+        assert out[2:] == ["cover moved: regular-600-c0.45", "cover moved: bipartite-600-c0.45"]
+    # the BENCH files are written either way, each with its own digests
+    doc = json.loads((tmp_path / "BENCH_two.json").read_text())
+    assert [cell["outcome"]["cover_sha256"] for cell in doc["cells"]] == ["same", "b", "b"]
+
+
+def test_bench_stages_rejects_expect_moved_without_two_trees(tmp_path):
+    script = _script()
+    with pytest.raises(SystemExit, match="needs two trees"):
+        script.main(["--label", "one", "--expect-moved", "regular-600-c0.3", "--out-dir", str(tmp_path)])
+    trees = ["--label", "one", "--src", str(tmp_path / "a"), "--label", "two", "--src", str(tmp_path / "b")]
+    with pytest.raises(SystemExit, match="unknown cells: regular-7"):
+        script.main([*trees, "--expect-moved", "regular-7", "--out-dir", str(tmp_path)])
 
 
 def test_bench_stages_cells_cover_the_roadmap_grid():

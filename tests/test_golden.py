@@ -5,7 +5,8 @@ Refactors of the pipeline must not change what it emits: the bench CSV with
 `method,paths,uncovered`, which a different graph can reproduce, so the
 generated graphs are pinned too: by the sha256 of their edge-list text, and
 the benchmark's larger graphs by the sha256 of their packed adjacency rows.
-The line of `scripts/identity_digest.py` pins its wider grid of covers. A
+The line of `scripts/identity_digest.py` pins its wider grid of covers, and
+`bench_cell_covers.txt` the covers at the benchmark's sizes. A
 deliberate behaviour change regenerates these files in the same commit and
 says why.
 """
@@ -372,6 +373,16 @@ def test_identity_digest_matches_golden(capsys):
     assert _identity_digest_script().main() == 0
     golden = (GOLDEN / "identity_digest.txt").read_text().splitlines()
     assert capsys.readouterr().out.splitlines() == [line for line in golden if not line.startswith("#")]
+
+
+def test_bench_cell_covers_match_golden(capsys):
+    # the 14 bench_stages cells with n <= 2400, where the identity grid
+    # (n <= 300) cannot see a cover move
+    assert _identity_digest_script().main(["--bench-cells"]) == 0
+    golden = (GOLDEN / "bench_cell_covers.txt").read_text().splitlines()
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 14
+    assert lines == [line for line in golden if not line.startswith("#")]
 
 
 def test_identity_digest_lines_name_each_input(capsys, monkeypatch):
