@@ -121,7 +121,20 @@ def test_disjoint_cliques_match_matrix_reference(n, data):
     label = np.minimum(np.arange(n) // (k + 1), n // (k + 1) - 1)
     a = label[:, None] == label[None, :]
     np.fill_diagonal(a, False)
-    assert extremal_family(GenSpec(n, k, "disjoint-cliques"))._adj == Graph._from_matrix(a)._adj
+    assert extremal_family(GenSpec(n, k, "disjoint-cliques")) == Graph(n, zip(*np.nonzero(np.triu(a))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 60), st.data())
+def test_disjoint_bicliques_match_matrix_reference(half, data):
+    # the block masks against the block-label matrix they replaced
+    k = data.draw(st.sampled_from([k for k in range(1, half + 1) if half % k == 0]))
+    n = 2 * half
+    label = (np.arange(n) % half) // k
+    in_x = np.arange(n) < half
+    a = (label[:, None] == label[None, :]) & (in_x[:, None] != in_x[None, :])
+    reference = Graph(n, zip(*np.nonzero(np.triu(a))), bipartition=(range(half), range(half, n)))
+    assert extremal_family(GenSpec(n, k, "disjoint-bicliques")) == reference
 
 
 def test_disjoint_bicliques_exact():
@@ -200,7 +213,8 @@ def test_switch_places_two_stubs_of_one_vertex():
         present, x = _stuck_on_one_vertex(n, k, seed=4)
         _switch_in(np.array([x]), np.array([x]), present, n, np.random.default_rng(7))
         upper = present.reshape(n, n)
-        g = Graph._from_matrix(upper | upper.T)  # audits: symmetric, no loops
+        assert not np.tril(upper).any()  # every pair is keyed min * n + max, so no loop either
+        g = Graph(n, zip(*np.nonzero(upper)))
         assert all(d == k for d in g.degrees())
         results.append(present.tobytes())
     assert results[0] == results[1]
@@ -275,7 +289,8 @@ def test_bipartite_switch_keeps_edges_across_the_sides():
         present, x, y = _stuck_on_a_present_pair(half, k, seed=4)
         _switch_in(np.array([x]), np.array([y]), present, n, np.random.default_rng(7), half)
         upper = present.reshape(n, n)
-        g = Graph._from_matrix(upper | upper.T, (range(half), range(half, n)))  # audits: every edge crosses
+        assert not np.tril(upper).any()
+        g = Graph(n, zip(*np.nonzero(upper)), (range(half), range(half, n)))  # audits: every edge crosses
         assert all(d == k for d in g.degrees())
         results.append(present.tobytes())
     assert results[0] == results[1]
@@ -290,6 +305,55 @@ def test_random_bipartite_always_audits(half, k, seed):
     assert all(d == k for d in g.degrees())
     x, y = g.bipartition
     assert all((u in x) != (v in x) for u, v in g.edges)
+
+
+# Every family on a small-n grid (k = 0, complement branches and the enlarged
+# last clique among them), both random families at the benchmark's n=600
+# cells, and one n=2400 graph per random family (each places a leftover pair
+# through `_switch_in`)
+AUDIT_CASES = (
+    [
+        ("random-regular", n, k, seed)
+        for n in (9, 40, 121, 300)
+        for k in sorted({0, 2, 3, n // 4, n // 2, n - 2})
+        if n * k % 2 == 0
+        for seed in (0, 1)
+    ]
+    + [
+        ("random-bipartite-regular", n, k, seed)
+        for n in (8, 40, 120, 300)
+        for k in sorted({0, 1, 2, n // 8, n // 4, n // 2})
+        for seed in (0, 1)
+    ]
+    + [("disjoint-cliques", n, k, 0) for n, k in ((1, 0), (8, 3), (9, 3), (40, 0), (120, 29), (125, 29), (300, 299))]
+    + [("disjoint-bicliques", n, k, 0) for n, k in ((2, 1), (12, 3), (120, 20), (240, 120))]
+    + [("random-regular", 600, degree_from_ratio(600, c), 0) for c in (0.3, 0.45, 0.6)]
+    + [("random-bipartite-regular", 600, degree_from_ratio(600, c), 0) for c in (0.15, 0.3, 0.45)]
+    + [("random-regular", 2400, 720, 1), ("random-bipartite-regular", 2400, 360, 0)]
+)
+
+
+@pytest.mark.parametrize("family, n, k, seed", AUDIT_CASES)
+def test_generated_graph_audits(family, n, k, seed):
+    # what building from rows no longer checks at run time: the rows form a
+    # symmetric, loop-free, k-regular adjacency (the last of the cliques takes
+    # the n % (k+1) leftovers) whose edges cross the sides, and the graph is
+    # the one the edge-list constructor builds and validates from its edges
+    g = generate(GenSpec(n, k, family, seed))
+    rows = np.frombuffer(b"".join(a.to_bytes((n + 7) // 8, "little") for a in g._adj), np.uint8)
+    a = np.unpackbits(rows.reshape(n, -1), axis=1, count=n, bitorder="little").astype(bool)
+    assert (a == a.T).all() and not a.diagonal().any()
+    degree = np.full(n, k)
+    if family == "disjoint-cliques":
+        last = (n // (k + 1) - 1) * (k + 1)
+        degree[last:] = n - last - 1
+    assert (a.sum(axis=1) == degree).all()
+    sides = None
+    if "bipartite" in family or "bicliques" in family:
+        half = n // 2
+        sides = (range(half), range(half, n))
+        assert not a[:half, :half].any() and not a[half:, half:].any()
+    assert g == Graph(n, g.edges, bipartition=sides)
 
 
 def _reference_round(stubs: np.ndarray, present: np.ndarray, n: int, side: int) -> list[int]:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from pathcover.graph import (
     Graph,
     GraphFormatError,
+    _pack_rows,
     complement,
     degree_into,
     density,
@@ -268,26 +269,25 @@ def _matrix(g: Graph) -> np.ndarray:
 
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(graphs(), graphs(bipartite=True)))
-def test_from_matrix_matches_edge_list_constructor(g):
-    assert Graph._from_matrix(_matrix(g), g.bipartition) == g
+def test_packed_matrix_rows_match_edge_list_constructor(g):
+    assert Graph._from_masks(_pack_rows(_matrix(g)), g.bipartition) == g
 
 
 @pytest.mark.parametrize(
-    "a, bip, message",
+    "n, edges, bip, message",
     [
-        (np.array([[0, 1], [0, 0]], dtype=bool), None, "one direction"),
-        (np.array([[1, 0], [0, 0]], dtype=bool), None, "self-loop"),
-        (~np.eye(3, dtype=bool), ([0], [1, 2]), r"edge \(1,2\) does not cross"),
-        (np.zeros((2, 3), dtype=bool), None, "square bool"),
-        (np.zeros((2, 2), dtype=np.uint8), None, "square bool"),
-        (np.zeros((3, 3), dtype=bool), ([0, 1], [1, 2]), "overlap"),
-        (np.zeros((3, 3), dtype=bool), ([0], [1]), "cover"),
+        (2, [(1, 1)], None, r"self-loop at 1"),
+        (3, [(0, 1), (1, 0)], None, r"duplicate edge \(0,1\)"),
+        (3, [(0, 3)], None, r"edge \(0,3\) out of range"),
+        (3, [(0, 1), (0, 2), (1, 2)], ([0], [1, 2]), r"edge \(1,2\) does not cross"),
+        (3, [], ([0, 1], [1, 2]), "overlap"),
+        (3, [], ([0], [1]), "cover"),
     ],
-    ids=["asymmetric", "loop", "inside-side", "not-square", "not-bool", "overlap", "short"],
+    ids=["loop", "duplicate", "out-of-range", "inside-side", "overlap", "short"],
 )
-def test_from_matrix_rejects_invalid_input(a, bip, message):
+def test_edge_list_constructor_rejects_invalid_input(n, edges, bip, message):
     with pytest.raises(ValueError, match=message):
-        Graph._from_matrix(a, bip)
+        Graph(n, edges, bipartition=bip)
 
 
 I0, I100 = np.int64(0), np.int64(100)
