@@ -11,8 +11,9 @@ fresh edge, or after 200 rounds, each leftover pair xy is switched in (McKay
 bipartite graph a is the edge's Y end, so both new edges cross the sides.
 Only a failed switch restarts. Degrees above half the range are generated as
 the complement (within the sides for a bipartite graph), which keeps the
-pairing density low. Clique unions are built as row masks, others as one bool
-adjacency matrix; all deterministic per seed.
+pairing density low. Every graph is built from its row masks: a pairing's
+rows are packed from its adjacency matrix, and clique and biclique unions are
+block masks; all deterministic per seed.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Union
 import numpy as np
 
 from ._bits import int_arg, mix64
-from .graph import Graph, complement
+from .graph import Graph, _pack_rows, _sides, complement
 
 RESTART_CAP = 10_000
 # pairs a pairing round packs at a time: its two int64 chunk buffers (128 KiB)
@@ -226,9 +227,10 @@ def _paired_graph(n: int, k: int, seed: int, salt: int, side: int = 0) -> Graph:
     rng = np.random.Generator(np.random.PCG64(mix64(seed, salt, n, k)))
     for _ in range(RESTART_CAP):
         try:
-            return Graph._from_matrix(_pairing_edges(n, k, rng, side), sides)
+            adj = _pack_rows(_pairing_edges(n, k, rng, side))
         except _PairingStuck:
             continue
+        return Graph._from_masks(adj, None if sides is None else _sides(adj, sides))
     raise RetryExhausted(f"no simple pairing found for n={n}, k={k}")
 
 
@@ -270,9 +272,9 @@ def extremal_family(spec: GenSpec) -> Graph:
             adj += [block ^ (1 << v) for v in range(lo, hi)]
         return Graph._from_masks(tuple(adj), None)
     if spec.family == "disjoint-bicliques":
-        half = n // 2
-        label = (np.arange(n) % half) // k
-        in_x = np.arange(n) < half
-        a = (label[:, None] == label[None, :]) & (in_x[:, None] != in_x[None, :])
-        return Graph._from_matrix(a, (range(half), range(half, n)))
+        # block b joins X-vertices bk..bk+k-1 to the Y-vertices half above them
+        half, block = n // 2, (1 << k) - 1
+        x_rows = tuple(block << (half + v // k * k) for v in range(half))
+        adj = x_rows + tuple(block << (v // k * k) for v in range(half))
+        return Graph._from_masks(adj, _sides(adj, (range(half), range(half, n))))
     raise ValueError(f"{spec.family!r} is not an extremal family")

@@ -3,8 +3,10 @@
 Adjacency is stored only as neighbor bitmasks: counts are popcounts of
 |N(v) & S|, and complement and induced subgraphs are mask operations. Where
 a whole 0/1 matrix is needed, one private kernel unpacks mask rows into a
-numpy block, and one packs matrix rows back into masks (generated graphs are
-built so). Vertex ids are ints or numpy integers. Graphs may carry an optional
+numpy block, and one packs matrix rows back into masks. The edge-list
+constructor validates its input; the private `_from_masks` trusts rows that
+its caller built valid (generated graphs are built so, and audited in the
+tests). Vertex ids are ints or numpy integers. Graphs may carry an optional
 bipartition (X, Y); every edge must then cross it.
 """
 
@@ -63,21 +65,6 @@ class Graph:
         g = object.__new__(cls)
         g.n, g._adj, g._bipartition = len(adj), adj, bip
         return g
-
-    @classmethod
-    def _from_matrix(cls, a: np.ndarray, bipartition=None) -> "Graph":
-        """Graph on a bool adjacency matrix, checked as `__init__` checks edges."""
-        n = len(a)
-        if a.dtype != bool or a.shape != (n, n):
-            raise ValueError("adjacency matrix must be a square bool array")
-        if a.diagonal().any():
-            raise ValueError(f"self-loop at {a.diagonal().argmax()}")
-        odd = a != a.T
-        if odd.any():
-            u, v = np.argwhere(odd)[0].tolist()  # row order: u < v
-            raise ValueError(f"edge ({u},{v}) is present in one direction only")
-        adj = _pack_rows(a)
-        return cls._from_masks(adj, None if bipartition is None else _sides(adj, bipartition))
 
     @property
     def m(self) -> int:

@@ -220,7 +220,8 @@ def _longest_search(
     """Rotation-extension from random starts, each grown inside its start's
     component, until the budget runs out or a result spans a largest
     component. Keeps the longest path or, with `close`, the longest path that
-    closes into a cycle on its own vertex set."""
+    closes into a cycle on its own vertex set. Rows of `adj` may reach outside
+    `active`: each step intersects a row with it or tests path vertices only."""
     rng = random.Random(seed)
     budget = _Budget(budget_total)
     rot_cap = max(10 * n_active, 10)
@@ -319,8 +320,7 @@ def hamiltonian_path(
     if g.n == 0:
         raise ValueError("empty graph")
     total = _search_budget(budget, 50 * 10 * g.n)
-    adj = [g.adjacency_mask(v) for v in range(g.n)]
-    return PathSearch(*_spanning(adj, (1 << g.n) - 1, g.n, mix64(seed, 0x9A7B), total, close=False))
+    return PathSearch(*_spanning(g._adj, (1 << g.n) - 1, g.n, mix64(seed, 0x9A7B), total, close=False))
 
 
 def spanning_cycle_bipartite(
@@ -367,8 +367,7 @@ def _longest(
     total = _search_budget(budget, 20 * 10 * n_active)
     if close and n_active < 3:
         return None
-    adj = [g.adjacency_mask(v) & active if (active >> v) & 1 else 0 for v in range(g.n)]
-    return _longest_search(adj, active, n_active, seed, total, close)
+    return _longest_search(g._adj, active, n_active, seed, total, close)
 
 
 def longest_path(
