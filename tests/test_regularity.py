@@ -13,7 +13,7 @@ from pathcover._bits import mix64
 from pathcover.generators import GenSpec, degree_from_ratio, extremal_family, generate
 from pathcover.graph import Graph, density, induced_subgraph
 from pathcover.hamilton import hamiltonian_path, longest_cycle, longest_path, spanning_cycle_bipartite
-from pathcover.pipeline import PipelineConfig, _default_t
+from pathcover.pipeline import PipelineConfig, _default_t, cycle_cover, path_cover, path_cover_bipartite
 from pathcover.regularity import (
     CleaningFailed,
     Partition,
@@ -321,6 +321,15 @@ def test_regularity_rejects_bad_inputs():
 
 _RING = Graph(10, [(i, (i + 1) % 10) for i in range(10)])
 _PAIR = (_RING, [0, 1], [5, 6])
+_EVEN_RING = Graph(10, _RING.edges, bipartition=(range(0, 10, 2), range(1, 10, 2)))
+_INVALID = (math.nan, math.inf, -math.inf, 0, -1)
+_ALPHA_RANGE = r"alpha must be in \(0, 1\]"
+
+
+def _cover_with(cover, g, **params):
+    """`cover` of the 2-regular g under the derived config at c = 0.2, with
+    alpha 0.1 unless `params` set it."""
+    return cover(g, PipelineConfig.derive(0.2, params.pop("alpha", 0.1), **params))
 
 
 @pytest.mark.parametrize(
@@ -358,6 +367,23 @@ _PAIR = (_RING, [0, 1], [5, 6])
                 (longest_cycle, (_RING,), (math.nan, math.inf)),
             )
             for budget in budgets
+        ),
+        *(
+            pytest.param(
+                PipelineConfig.derive(0.2, 0.1).with_alpha, (alpha,), _ALPHA_RANGE, id=f"with_alpha-{alpha}"
+            )
+            for alpha in _INVALID
+        ),
+        *(
+            pytest.param(
+                partial(_cover_with, cover, g, alpha=alpha), (), _ALPHA_RANGE, id=f"{cover.__name__}-alpha={alpha}"
+            )
+            for cover, g in ((path_cover, _RING), (path_cover_bipartite, _EVEN_RING), (cycle_cover, _RING))
+            for alpha in _INVALID
+        ),
+        *(
+            pytest.param(partial(_cover_with, cycle_cover, _RING, t=t), (), "t must be", id=f"cycle_cover-t={t}")
+            for t in _INVALID
         ),
     ],
 )
