@@ -35,10 +35,11 @@ A run generates the graph, covers it (`path_cover`, or
 over each cover's calls. Times are given in ms as the median and quartiles
 over the RUNS (10) runs of each cell, a length fixed so that every BENCH
 file is comparable. Every run of a cell must give the same outcome (method,
-paths, uncovered, audit, and `cover_sha256`: the sha256 of the run report,
-the cover file and the merge log, hashed as `scripts/identity_digest.py`
-hashes a cover). A full run takes about 1.5 minutes on a 2-CPU
-machine (twice that for two trees); the n=10^4 cell peaks near 445 MB.
+paths, uncovered, audit, and `cover_sha256`: the sha256 of the run
+report, the cover file and the merge log, built by `cover_text`, which
+`scripts/identity_digest.py` hashes too). A full run takes about 1.5
+minutes on a 2-CPU machine (twice that for two trees); the n=10^4 cell
+peaks near 445 MB.
 """
 
 from __future__ import annotations
@@ -115,12 +116,16 @@ def _setup(cell: Cell):
     return spec, cfg, cover_fn, limit
 
 
-def cover_sha256(cover, rep) -> str:
-    """sha256 of the run report, the cover file and the merge log."""
+def cover_text(cover, rep) -> str:
+    """The run report, the cover file and the merge log of one cover: the
+    text that `cover_sha256` and `scripts/identity_digest.py` hash."""
     from pathcover.cli import write_cover_file
 
-    text = rep.to_kv_text() + write_cover_file(cover) + f"merges={rep.merges}\n"
-    return hashlib.sha256(text.encode()).hexdigest()
+    return rep.to_kv_text() + write_cover_file(cover) + f"merges={rep.merges}\n"
+
+
+def cover_sha256(cover, rep) -> str:
+    return hashlib.sha256(cover_text(cover, rep).encode()).hexdigest()
 
 
 def cover_lines(names) -> list[str]:

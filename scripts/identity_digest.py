@@ -35,11 +35,13 @@ import hashlib
 import sys
 from pathlib import Path
 
-from pathcover.cli import write_cover_file
 from pathcover.generators import GenSpec, degree_from_ratio, generate
 from pathcover.graph import write_graph
 from pathcover.pipeline import PipelineConfig, path_cover, path_cover_bipartite
 from pathcover.regularity import build_cluster_graph, equitable_partition, is_eps_regular
+
+sys.path.insert(0, str(Path(__file__).parent))
+from bench_stages import CELLS, cover_lines, cover_text  # noqa: E402  (beside this script)
 
 ORDERS = (40, 80, 120, 200, 300)
 EXTREMAL = [
@@ -94,11 +96,7 @@ def main(argv=()) -> int:
     )
     args = ap.parse_args(argv)
     if args.bench_cells:
-        sys.path.insert(0, str(Path(__file__).parent))
-        import bench_stages
-
-        names = [name for name, cell in bench_stages.CELLS.items() if cell.n <= 2400]
-        print("\n".join(bench_stages.cover_lines(names)))
+        print("\n".join(cover_lines(name for name, cell in CELLS.items() if cell.n <= 2400)))
         return 0
     total = hashlib.sha256()
     count = 0
@@ -116,7 +114,7 @@ def main(argv=()) -> int:
             cfg = PipelineConfig.derive(c, 0.1, gamma=gamma, seed=seed)
             try:
                 cover, rep = cover_fn(g, cfg)
-                text = rep.to_kv_text() + write_cover_file(cover) + f"merges={rep.merges}\n"
+                text = cover_text(cover, rep)
             except ValueError as exc:
                 text = f"{type(exc).__name__}: {exc}\n"
             head = f"{family} {n} {c} {seed} {gamma}"
