@@ -75,3 +75,12 @@ def int_arg(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def seed_arg(value) -> int:
+    """`int_arg("seed", value)`, which must also lie in [0, 2**64): seeds
+    are mixed modulo 2**64, so -1 and 2**64 - 1 would give the same run."""
+    seed = int_arg("seed", value)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    return seed

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from ._bits import mix64
+from ._bits import mix64, seed_arg
 from .generators import (
     FAMILIES,
     GenSpec,
@@ -182,17 +182,24 @@ def cmd_generate(args) -> int:
     elif args.c is not None:
         k = degree_from_ratio(n, args.c)
     else:
-        print("error: provide --k or --c", file=sys.stderr)
-        return 2
+        raise ValueError("provide --k or --c")
     spec = GenSpec(n=n, k=k, family=args.family, seed=args.seed)
-    g = generate(spec)
-    text = write_graph(g)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+    _write(args.output, write_graph(generate(spec)), sys.stdout)
+    return 0
+
+
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _write(path: Optional[str], text: str, stream) -> None:
+    """Write `text` to the file at `path`, or to `stream` when no path is given."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
-    return 0
+        stream.write(text)
 
 
 def _cover(g: Graph, cfg: PipelineConfig, bipartite: bool) -> tuple[PathCover, RunReport, int]:
@@ -205,38 +212,23 @@ def _cover(g: Graph, cfg: PipelineConfig, bipartite: bool) -> tuple[PathCover, R
 
 
 def cmd_cover(args) -> int:
-    with open(args.graph, encoding="utf-8") as fh:
-        g = read_graph(fh.read())
+    g = read_graph(_read(args.graph))
     cfg = _resolve_cfg(args, g)
-    if args.bipartite:
-        if g.bipartition is None:
-            print("error: --bipartite needs a graph with a bipartite header", file=sys.stderr)
-            return 2
+    if args.bipartite and g.bipartition is None:
+        raise ValueError("--bipartite needs a graph with a bipartite header")
     cover, rep, limit = _cover(g, cfg, args.bipartite)
-    text = write_cover_file(cover)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    report_text = (
-        f"c={_fmt(cfg.c)}\nalpha={_fmt(cfg.alpha)}\n"
-        + rep.to_kv_text()
-        + f"paths_limit={limit}\n"
-    )
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(report_text)
-    else:
-        sys.stderr.write(report_text)
+    _write(args.output, write_cover_file(cover), sys.stdout)
+    report = f"c={_fmt(cfg.c)}\nalpha={_fmt(cfg.alpha)}\n" + rep.to_kv_text() + f"paths_limit={limit}\n"
+    _write(args.report, report, sys.stderr)
     return 0 if rep.success else 1
 
 
 def cmd_verify(args) -> int:
-    with open(args.graph, encoding="utf-8") as fh:
-        g = read_graph(fh.read())
-    with open(args.cover, encoding="utf-8") as fh:
-        cover = read_cover_file(fh.read(), g)
+    for flag, limit in (("--max-count", args.max_count), ("--max-uncovered", args.max_uncovered)):
+        if limit is not None and limit < 0:
+            raise ValueError(f"{flag} must be >= 0, got {limit}")
+    g = read_graph(_read(args.graph))
+    cover = read_cover_file(_read(args.cover), g)
     check = verify_cover(g, cover, max_count=args.max_count, max_uncovered=args.max_uncovered)
     print(check)
     return 0 if check.ok else 1
@@ -300,80 +292,72 @@ def cmd_bench(args) -> int:
         (family, n, c, args.alpha, s, args.timing)
         for c, n, s in itertools.product(cs, ns, seeds)
     ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda t: _run_trial(*t), trials))
-    else:
-        rows = [_run_trial(*t) for t in trials]
-    out_lines = [CSV_HEADER] + [row.to_csv() for row in rows]
-    text = "\n".join(out_lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        rows = list(pool.map(lambda t: _run_trial(*t), trials))
+    _write(args.output, "\n".join([CSV_HEADER] + [row.to_csv() for row in rows]) + "\n", sys.stdout)
     return 0
 
 
-def cmd_oracle(args) -> int:
-    if args.oracle_cmd in ("berge-tutte", "chernoff") and args.n_max < 1:
-        raise ValueError(f"--n-max must be >= 1, got {args.n_max}")
-    if args.oracle_cmd == "conjecture":
-        extras = [
-            petersen_graph(),
-            cube_graph(),
-            Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)]),
-            Graph(6, [(i, 3 + j) for i in range(3) for j in range(3)], bipartition=(range(3), range(3, 6))),
-        ]
-        rep = conjecture_spot_check(args.k, args.n, args.samples, seed=args.seed, extras=extras)
-        print(f"checked={rep.checked} violations={len(rep.violations)} max_ratio={rep.max_ratio:.4f}")
-        for g, cover, limit in rep.violations:
-            print(f"VIOLATION: {g!r} cover={cover} > ceil(n/(k+1))={limit}")
-        return 0 if rep.ok else 1
+def _n_max(value: int) -> int:
+    if value < 1:
+        raise ValueError(f"--n-max must be >= 1, got {value}")
+    return value
 
-    if args.oracle_cmd == "berge-tutte":
-        checked = 0
-        bad = 0
-        for g in _berge_tutte_instances(args.n_max, args.exhaustive, args.samples, args.seed):
-            mu = fractional_matching(g).value
-            d, _ = max_deficiency(g)
-            checked += 1
-            if mu != Fraction(g.n - d, 2):
-                bad += 1
-                print(f"MISMATCH: {g!r} mu_f={mu} deficiency={d}")
-        print(f"checked={checked} mismatches={bad}")
-        return 0 if bad == 0 else 1
 
-    if args.oracle_cmd == "chernoff":
-        violations = 0
-        checked = 0
-        worst = 0.0
-        for np_ in range(1, args.n_max + 1):
-            for dec in range(1, 10):
-                zeta = Fraction(dec, 10)
-                mean = np_ * zeta
-                for x in range(1, np_ + 1):
-                    up = binomial_tail_exact(np_, zeta, mean + x, "ge")
-                    lo = binomial_tail_exact(np_, zeta, mean - x, "le")
-                    bu = chernoff_upper(np_, dec / 10, x)
-                    bl = chernoff_lower(np_, dec / 10, x)
-                    checked += 2
-                    worst = max(worst, float(up) / bu if bu else 0.0, float(lo) / bl if bl else 0.0)
-                    if up > Fraction(bu) or lo > Fraction(bl):
-                        violations += 1
-                        print(f"VIOLATION: n'={np_} zeta={zeta} x={x}")
-        print(f"checked={checked} violations={violations} worst_ratio={worst:.6f}")
-        return 0 if violations == 0 else 1
+def cmd_conjecture(args) -> int:
+    extras = [
+        petersen_graph(),
+        cube_graph(),
+        Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)]),
+        Graph(6, [(i, 3 + j) for i in range(3) for j in range(3)], bipartition=(range(3), range(3, 6))),
+    ]
+    rep = conjecture_spot_check(args.k, args.n, args.samples, seed=args.seed, extras=extras)
+    print(f"checked={rep.checked} violations={len(rep.violations)} max_ratio={rep.max_ratio:.4f}")
+    for g, cover, limit in rep.violations:
+        print(f"VIOLATION: {g!r} cover={cover} > ceil(n/(k+1))={limit}")
+    return 0 if rep.ok else 1
 
-    print("error: unknown oracle subcommand", file=sys.stderr)
-    return 2
+
+def cmd_berge_tutte(args) -> int:
+    checked = 0
+    bad = 0
+    for g in _berge_tutte_instances(_n_max(args.n_max), args.exhaustive, args.samples, args.seed):
+        mu = fractional_matching(g).value
+        d, _ = max_deficiency(g)
+        checked += 1
+        if mu != Fraction(g.n - d, 2):
+            bad += 1
+            print(f"MISMATCH: {g!r} mu_f={mu} deficiency={d}")
+    print(f"checked={checked} mismatches={bad}")
+    return 0 if bad == 0 else 1
+
+
+def cmd_chernoff(args) -> int:
+    violations = 0
+    checked = 0
+    worst = 0.0
+    for np_ in range(1, _n_max(args.n_max) + 1):
+        for dec in range(1, 10):
+            zeta = Fraction(dec, 10)
+            mean = np_ * zeta
+            for x in range(1, np_ + 1):
+                up = binomial_tail_exact(np_, zeta, mean + x, "ge")
+                lo = binomial_tail_exact(np_, zeta, mean - x, "le")
+                bu = chernoff_upper(np_, dec / 10, x)
+                bl = chernoff_lower(np_, dec / 10, x)
+                checked += 2
+                worst = max(worst, float(up) / bu if bu else 0.0, float(lo) / bl if bl else 0.0)
+                if up > Fraction(bu) or lo > Fraction(bl):
+                    violations += 1
+                    print(f"VIOLATION: n'={np_} zeta={zeta} x={x}")
+    print(f"checked={checked} violations={violations} worst_ratio={worst:.6f}")
+    return 0 if violations == 0 else 1
 
 
 def _berge_tutte_instances(n_max: int, exhaustive: bool, samples: int, seed: int):
     import random as _random
 
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    seed = seed_arg(seed)
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
     if exhaustive:
@@ -461,18 +445,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_conj.add_argument("--n", type=int, default=8)
     p_conj.add_argument("--samples", type=int, default=100)
     p_conj.add_argument("--seed", type=int, default=0)
-    p_conj.set_defaults(func=cmd_oracle)
+    p_conj.set_defaults(func=cmd_conjecture)
 
     p_bt = ora_sub.add_parser("berge-tutte", help="matching value vs deficiency")
     p_bt.add_argument("--n-max", type=int, default=7)
     p_bt.add_argument("--exhaustive", action="store_true")
     p_bt.add_argument("--samples", type=int, default=0)
     p_bt.add_argument("--seed", type=int, default=0)
-    p_bt.set_defaults(func=cmd_oracle)
+    p_bt.set_defaults(func=cmd_berge_tutte)
 
     p_ch = ora_sub.add_parser("chernoff", help="exact tails vs exponential bounds")
     p_ch.add_argument("--n-max", type=int, default=25)
-    p_ch.set_defaults(func=cmd_oracle)
+    p_ch.set_defaults(func=cmd_chernoff)
 
     return parser
 

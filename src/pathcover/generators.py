@@ -25,7 +25,7 @@ from typing import Union
 
 import numpy as np
 
-from ._bits import int_arg, mix64
+from ._bits import int_arg, mix64, seed_arg
 from .graph import Graph, _pack_rows, _sides, complement
 
 RESTART_CAP = 10_000
@@ -62,8 +62,7 @@ class GenSpec:
         n, k = self.n, self.k
         if n <= 0 or k < 0:
             raise ValueError("need n > 0 and k >= 0")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        seed_arg(self.seed)  # the seed's range, checked after n and k
         if self.family == "random-regular":
             if k >= n:
                 raise ValueError(f"need k < n, got k={k}, n={n}")

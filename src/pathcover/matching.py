@@ -68,16 +68,15 @@ class HalfIntegralMatching:
                 raise ValueError("half-weight support contains an even cycle")
 
 
-def _augment(adj_sorted: list[list[int]], match_l: list[int], match_r: list[int]) -> int:
-    """Kuhn's algorithm; neighbor lists pre-sorted for determinism.
+def _augment(adj_sorted: list[list[int]], match_l: list[int], match_r: list[int]) -> None:
+    """Kuhn's algorithm from an empty matching; neighbor lists pre-sorted for
+    determinism. A root is matched only by its own search, so every root
+    starts unmatched.
 
     The depth-first search keeps its own stack, so augmenting paths of any
     length fit; it tries neighbors in the same order as the recursive form.
     """
-    size = 0
     for root in range(len(adj_sorted)):
-        if match_l[root] != -1:
-            continue
         visited: set[int] = set()
         path = [root]  # left vertices of the alternating path being grown
         via: list[int] = []  # via[i] leads from path[i] to path[i + 1]
@@ -96,11 +95,9 @@ def _augment(adj_sorted: list[list[int]], match_l: list[int], match_r: list[int]
                 for u, w in zip(path, via):
                     match_l[u] = w
                     match_r[w] = u
-                size += 1
                 break
             path.append(match_r[v])
             untried.append(iter(adj_sorted[match_r[v]]))
-    return size
 
 
 def fractional_matching(g: Graph) -> HalfIntegralMatching:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
-from ._bits import bits, mix64
+from ._bits import bits, mix64, seed_arg
 from .generators import GenSpec, random_regular
 from .graph import Graph
 from .hamilton import Path
@@ -55,10 +55,10 @@ def min_path_cover_exact(g: Graph) -> ExactCoverResult:
         m = 1 << v
         edges[m] = [NEG] * n
         edges[m][v] = 0
+    # every nonempty mask gets a row with an entry >= 0 before its turn: a
+    # smaller mask opens a path at any of its vertices
     for mask in range(1, full + 1):
         row = edges[mask]
-        if row is None:
-            continue
         for last in range(n):
             e = row[last]
             if e < 0:
@@ -73,13 +73,12 @@ def min_path_cover_exact(g: Graph) -> ExactCoverResult:
         # close the open path and start a new one at a fresh vertex; only the
         # best endpoint matters, so this costs O(n) per mask
         row_max = max(row)
-        if row_max >= 0:
-            for nxt in bits(~mask & full):
-                nm = mask | (1 << nxt)
-                if edges[nm] is None:
-                    edges[nm] = [NEG] * n
-                if edges[nm][nxt] < row_max:
-                    edges[nm][nxt] = row_max
+        for nxt in bits(~mask & full):
+            nm = mask | (1 << nxt)
+            if edges[nm] is None:
+                edges[nm] = [NEG] * n
+            if edges[nm][nxt] < row_max:
+                edges[nm][nxt] = row_max
     best_last = max(range(n), key=lambda v: edges[full][v])
     best_edges = edges[full][best_last]
     cover_number = n - best_edges
@@ -209,8 +208,7 @@ def conjecture_spot_check(
     A violation (with witness instance) would be a counterexample to the
     n/(k+1) bound; none is expected.
     """
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    seed = seed_arg(seed)
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
     rep = ConjectureReport()

@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from ._bits import bits, int_arg, mask_of, mix64
+from ._bits import bits, int_arg, mask_of, mix64, seed_arg
 from .generators import _dec, degree_from_ratio
 from .graph import Graph, _adjacency_block, _pack_rows
 from .graph import induced_subgraph  # noqa: F401  (kept only for perfbench's tracer)
@@ -117,9 +117,7 @@ class PipelineConfig:
             object.__setattr__(self, "t", int_arg("t", self.t))
             if self.t < 1:
                 raise ValueError(f"t must be None or an integer >= 1, got {self.t!r}")
-        object.__setattr__(self, "seed", int_arg("seed", self.seed))
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        object.__setattr__(self, "seed", seed_arg(self.seed))
 
     @property
     def delta(self) -> float:

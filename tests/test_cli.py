@@ -244,6 +244,77 @@ def test_berge_tutte_instances_reject_seed_outside_64_bits(seed):
         next(_berge_tutte_instances(4, True, 3, seed))
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# paths=1\n0 1\n1 x\n", "line 3: cover lines must be vertex ids"),
+        ("0 1\n\n2 3\n", "line 3: vertex 3 out of range"),
+    ],
+    ids=["non-integer", "out-of-range"],
+)
+def test_verify_rejects_a_bad_cover_file(tmp_path, capsys, text, message):
+    gfile = tmp_path / "g.txt"
+    cfile = tmp_path / "c.txt"
+    gfile.write_text("3 2\n0 1\n1 2\n")
+    cfile.write_text(text)
+    code, out, err = run(capsys, "verify", str(gfile), str(cfile))
+    assert code == 2
+    assert out == ""
+    assert err == f"format error: {message}\n"
+
+
+@pytest.mark.parametrize("flag", ["--max-count", "--max-uncovered"])
+def test_verify_rejects_a_negative_limit(tmp_path, capsys, flag):
+    gfile = tmp_path / "g.txt"
+    cfile = tmp_path / "c.txt"
+    gfile.write_text("3 2\n0 1\n1 2\n")
+    cfile.write_text("0 1 2\n")
+    code, out, err = run(capsys, "verify", str(gfile), str(cfile), flag, "-1")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} must be >= 0, got -1\n"
+    code, _, err = run(capsys, "verify", str(gfile), str(cfile), flag, "0")
+    assert code in (0, 1) and err == ""  # a limit of 0 is audited
+
+
+def test_oracle_conjecture_prints_a_violation(capsys, monkeypatch):
+    from pathcover.oracle import ConjectureReport, petersen_graph
+
+    fake = ConjectureReport(checked=1, violations=[(petersen_graph(), 4, 3)], max_ratio=4 / (10 / 4))
+    monkeypatch.setattr(cli, "conjecture_spot_check", lambda *args, **kwargs: fake)
+    code, out, _ = run(capsys, "oracle", "conjecture", "--samples", "0")
+    assert code == 1
+    assert out == "checked=1 violations=1 max_ratio=1.6000\nVIOLATION: Graph(n=10, m=15) cover=4 > ceil(n/(k+1))=3\n"
+
+
+def test_oracle_berge_tutte_prints_a_mismatch(capsys, monkeypatch):
+    # a deficiency of n makes mu_f = (n - d)/2 = 0 false on the one graph with an edge
+    monkeypatch.setattr(cli, "max_deficiency", lambda g: (g.n, None))
+    code, out, _ = run(capsys, "oracle", "berge-tutte", "--n-max", "2", "--exhaustive")
+    assert code == 1
+    assert out == "MISMATCH: Graph(n=2, m=1) mu_f=1 deficiency=2\nchecked=3 mismatches=1\n"
+
+
+def test_oracle_chernoff_prints_a_violation(capsys, monkeypatch):
+    # a zero upper bound is broken by every positive upper tail: at n'=2, by P(X >= 2) for zeta up to 1/2
+    monkeypatch.setattr(cli, "chernoff_upper", lambda *args: 0.0)
+    code, out, _ = run(capsys, "oracle", "chernoff", "--n-max", "2")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "VIOLATION: n'=2 zeta=1/10 x=1"
+    assert lines[1:5] == [f"VIOLATION: n'=2 zeta={z} x=1" for z in ("1/5", "3/10", "2/5", "1/2")]
+    assert lines[-1].startswith("checked=54 violations=5 ")
+
+
+def test_bench_writes_an_error_row_for_a_trial_that_raises(capsys):
+    # generation refuses n*k beyond the pairing's int64 keys; the trial's row says so
+    code, out, err = run(
+        capsys, "bench", "--c", "0.3", "--n", "100000", "--seeds", "0", "--timing", "none", "--threads", "1"
+    )
+    assert code == 0 and err == ""
+    assert out == f"{CSV_HEADER}\n0,random-regular,100000,30000,0.3,0.1,error:ValueError,0,100000,0,false\n"
+
+
 def test_bad_graph_file_is_param_error(tmp_path, capsys):
     gfile = tmp_path / "g.txt"
     gfile.write_text("2 1\n0 0\n")

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -59,8 +60,32 @@ def test_two_regular_is_disjoint_cycles():
         assert inside == len(comp) >= 3
 
 
+def test_a_stuck_pairing_restarts(monkeypatch):
+    real, calls = generators._pairing_edges, []
+
+    def stuck_first(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise _PairingStuck
+        return real(*args)
+
+    monkeypatch.setattr(generators, "_pairing_edges", stuck_first)
+    g = generate(GenSpec(20, 4, "random-regular", seed=1))
+    assert len(calls) == 2 and all(d == 4 for d in g.degrees())
+
+
+def test_a_pairing_stuck_on_every_restart_gives_up(monkeypatch):
+    def stuck(*args):
+        raise _PairingStuck
+
+    monkeypatch.setattr(generators, "_pairing_edges", stuck)
+    with pytest.raises(generators.RetryExhausted, match="no simple pairing found for n=20, k=4"):
+        generate(GenSpec(20, 4, "random-regular", seed=1))
+
+
 def test_degree_from_ratio_snaps_decimals():
     assert degree_from_ratio(600, 0.3) == 180
+    assert degree_from_ratio(3 * 10**9, Fraction(1, 3)) == 10**9  # a Fraction is exact already
     assert degree_from_ratio(200, 0.45) == 90
     assert degree_from_ratio(400, 0.9975) == 399
 

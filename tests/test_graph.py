@@ -131,6 +131,39 @@ def test_bipartite_header_must_precede_edges():
         read_graph("4 1\n0 2\nbipartite 2")
 
 
+@pytest.mark.parametrize(
+    "text, line_no, message",
+    [
+        ("# g\n3 2 1\n", 2, "expected header 'n m'"),
+        ("3 x\n", 1, "header values must be integers"),
+        ("-3 2\n", 1, "header values must be nonnegative"),
+        ("4 0\nbipartite\n", 2, "expected 'bipartite k'"),
+        ("4 0\nbipartite two\n", 2, "bipartite size must be an integer"),
+        ("4 0\nbipartite 5\n", 2, "bipartite size 5 out of range"),
+        ("3 1\n0 1 2\n", 2, "expected 'u v', got '0 1 2'"),
+        ("3 1\n0 x\n", 2, "edge endpoints must be integers"),
+        ("# no header\n\n", 1, "missing header 'n m'"),
+        ("4 1\nbipartite 2\n0 1\n", 1, "edge (0,1) does not cross the bipartition"),
+    ],
+    ids=[
+        "header-arity", "header-int", "header-negative", "bipartite-arity", "bipartite-int", "bipartite-range",
+        "edge-arity", "edge-int", "missing-header", "graph-error",
+    ],
+)
+def test_read_format_errors_name_their_line(text, line_no, message):
+    # one row per raise site of read_graph that the other tests do not reach
+    with pytest.raises(GraphFormatError) as err:
+        read_graph(text)
+    assert err.value.line_no == line_no
+    assert str(err.value) == f"line {line_no}: {message}"
+
+
+def test_equal_graphs_hash_alike():
+    a, b = read_graph("3 2\n0 1\n1 2\n"), Graph(3, [(1, 2), (0, 1)])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != "3 2" and a.__eq__("3 2") is NotImplemented
+
+
 def test_write_rejects_non_prefix_bipartition():
     g = Graph(4, [(0, 1), (2, 3)], bipartition=({0, 2}, {1, 3}))
     with pytest.raises(ValueError):

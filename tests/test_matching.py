@@ -179,6 +179,21 @@ def test_pairings_reject_half_weight_path():
         cluster_matching_pairs(h, f)
 
 
+def test_pairings_reject_half_weight_even_cycle():
+    square = [(0, 1), (1, 2), (2, 3), (0, 3)]
+    f = HalfIntegralMatching({e: HALF for e in square})
+    with pytest.raises(ValueError, match="half-integral matching support has an even cycle"):
+        cluster_matching_pairs(cluster_graph_of(4, square), f)
+
+
+def test_pairings_reject_a_half_used_twice():
+    # cluster 1 gives both halves to its weight-1 edge, then meets a half-weight triangle
+    edges = [(0, 1), (1, 2), (2, 3), (1, 3)]
+    f = HalfIntegralMatching({(0, 1): Fraction(1), (1, 2): HALF, (2, 3): HALF, (1, 3): HALF})
+    with pytest.raises(ValueError, match=r"cluster half \(1,[12]\) used twice"):
+        cluster_matching_pairs(cluster_graph_of(4, edges), f)
+
+
 def test_pairings_reject_three_half_edges_at_a_vertex():
     star = [(0, 1), (0, 2), (0, 3)]
     f = HalfIntegralMatching({e: HALF for e in star})

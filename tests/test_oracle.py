@@ -1,8 +1,10 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from pathcover import oracle
 from pathcover.generators import GenSpec, extremal_family, random_regular
 from pathcover.graph import Graph
 from pathcover.hamilton import hamiltonian_path
@@ -43,6 +45,12 @@ def test_edgeless_cover_is_n():
     res = min_path_cover_exact(Graph(6, []))
     assert res.cover_number == 6
     check_witness(Graph(6, []), res)
+
+
+def test_empty_graph_cover_is_zero():
+    res = min_path_cover_exact(Graph(0, []))
+    assert res.cover_number == 0
+    check_witness(Graph(0, []), res)
 
 
 def test_two_disjoint_k4_need_two_paths():
@@ -128,6 +136,15 @@ def test_conjecture_spot_check_rejects_seed_outside_64_bits(seed):
     # mix64 reduces mod 2**64, so -1 and 2**64 - 1 would draw the same samples
     with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
         conjecture_spot_check(3, 8, samples=5, seed=seed)
+
+
+def test_conjecture_spot_check_records_a_violation(monkeypatch):
+    # a checker that needs n paths on the Petersen graph breaks ceil(10/4) = 3
+    real = oracle.min_path_cover_exact
+    monkeypatch.setattr(oracle, "min_path_cover_exact", lambda g: replace(real(g), cover_number=g.n))
+    rep = conjecture_spot_check(3, 8, samples=0, extras=[petersen_graph()])
+    assert not rep.ok and rep.checked == 1
+    assert rep.violations == [(petersen_graph(), 10, 3)] and rep.max_ratio == 4.0
 
 
 def test_conjecture_spot_check_rejects_negative_samples():

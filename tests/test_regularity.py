@@ -10,9 +10,12 @@ from hypothesis import strategies as st
 
 from pathcover import regularity
 from pathcover._bits import mix64
+from pathcover.cli import _berge_tutte_instances
 from pathcover.generators import GenSpec, degree_from_ratio, extremal_family, generate
 from pathcover.graph import Graph, density, induced_subgraph
-from pathcover.hamilton import hamiltonian_path, longest_cycle, longest_path, spanning_cycle_bipartite
+from pathcover.hamilton import Cycle, Path, hamiltonian_path, longest_cycle, longest_path, spanning_cycle_bipartite
+from pathcover.matching import HALF, ONE, HalfIntegralMatching
+from pathcover.oracle import conjecture_spot_check, min_path_cover_exact
 from pathcover.pipeline import PipelineConfig, _default_t, cycle_cover, path_cover, path_cover_bipartite
 from pathcover.regularity import (
     CleaningFailed,
@@ -326,6 +329,10 @@ _INVALID = (math.nan, math.inf, -math.inf, 0, -1)
 _ALPHA_RANGE = r"alpha must be in \(0, 1\]"
 
 
+def _first_berge_tutte_instance(*args):
+    return next(_berge_tutte_instances(*args))
+
+
 def _cover_with(cover, g, **params):
     """`cover` of the 2-regular g under the derived config at c = 0.2, with
     alpha 0.1 unless `params` set it."""
@@ -357,6 +364,14 @@ def _cover_with(cover, g, **params):
             for seed in (1.5, True)
         ),
         *(
+            pytest.param(fn, args, "seed must be an integer", id=f"{fn.__name__}-seed={seed}")
+            for seed in (1.5, True)
+            for fn, args in (
+                (conjecture_spot_check, (3, 8, 0, seed)),
+                (_first_berge_tutte_instance, (4, False, 0, seed)),
+            )
+        ),
+        *(
             pytest.param(
                 partial(search, budget=budget), args, "budget must be positive", id=f"{search.__name__}-{budget}"
             )
@@ -384,6 +399,46 @@ def _cover_with(cover, g, **params):
         *(
             pytest.param(partial(_cover_with, cycle_cover, _RING, t=t), (), "t must be", id=f"cycle_cover-t={t}")
             for t in _INVALID
+        ),
+        # guards that no workload reaches
+        pytest.param(Graph, (-1, []), "vertex count must be nonnegative", id="Graph-n=-1"),
+        pytest.param(GenSpec, (0, 0, "random-regular"), "need n > 0 and k >= 0", id="GenSpec-n=0"),
+        pytest.param(GenSpec, (4, 4, "random-regular"), "need k < n, got k=4, n=4", id="GenSpec-k=n"),
+        pytest.param(
+            extremal_family, (GenSpec(4, 2, "random-regular"),), "'random-regular' is not an extremal family",
+            id="extremal_family-random",
+        ),
+        pytest.param(spanning_cycle_bipartite, (_RING, [0, 2], [2, 3]), "sides overlap", id="sides-overlap"),
+        pytest.param(partial(longest_path, within=[]), (_RING,), "empty vertex set", id="longest_path-empty"),
+        pytest.param(hamiltonian_path, (Graph(0, []),), "empty graph", id="hamiltonian_path-empty"),
+        pytest.param(
+            path_cover_bipartite,
+            (Graph(3, [(0, 1), (1, 2)], bipartition=([1], [0, 2])), PipelineConfig.derive(0.5, 0.1)),
+            "regular bipartite graphs must have balanced sides",
+            id="path_cover_bipartite-unbalanced",
+        ),
+        pytest.param(PipelineConfig, (0, 0.1, 0.3, 0.04, 0.1), r"c must be in \(0, 1\]", id="PipelineConfig-c=0"),
+        pytest.param(equitable_partition, (_RING, 6), "clusters would be empty with t=6, n=10", id="t=6-of-10"),
+        pytest.param(clean_super_regular, (_RING, [0], [0], 0.1, 0.5), "need disjoint nonempty sides", id="clean-same"),
+        pytest.param(clean_super_regular, (_RING, [0], [1, 2], 0.1, 0.5), "sides must have equal size", id="clean-sizes"),
+        pytest.param(min_path_cover_exact, (Graph(19, []),), "n=19 exceeds exhaustive cap 18", id="exact-cap"),
+        pytest.param(Path((0, 2)).validate, (_RING,), r"path uses non-edge \(0,2\)", id="Path-non-edge"),
+        pytest.param(Cycle((0, 1, 3)).validate, (_RING,), r"cycle uses non-edge \(1,3\)", id="Cycle-non-edge"),
+        pytest.param(
+            Partition(frozenset(), (frozenset({0, 1}), frozenset({2})), 2).validate, (range(3),),
+            "cluster size differs from m", id="Partition-sizes",
+        ),
+        pytest.param(Partition(frozenset(), (frozenset({0}),), 1).validate, (range(1),), "m must be even", id="Partition-odd"),
+        pytest.param(
+            HalfIntegralMatching({(0, 2): ONE}).validate, (_RING,), r"weight on non-edge \(0,2\)", id="matching-non-edge"
+        ),
+        pytest.param(
+            HalfIntegralMatching({(0, 1): Fraction(1, 3)}).validate, (_RING,), r"weight 1/3 not in \{1/2, 1\}",
+            id="matching-third",
+        ),
+        pytest.param(
+            HalfIntegralMatching({(0, 1): HALF}).validate, (_RING,), "half-weight support contains a path component",
+            id="matching-half-path",
         ),
     ],
 )
