@@ -25,9 +25,10 @@ from .generators import (
     degree_from_ratio,
     generate,
 )
-from .graph import Graph, GraphFormatError, read_graph, write_graph
-from .matching import fractional_matching, max_deficiency
+from .graph import Graph, GraphFormatError, _lines, read_graph, write_graph
+from .matching import DEFICIENCY_CAP, fractional_matching, max_deficiency
 from .oracle import (
+    TAIL_CAP,
     binomial_tail_exact,
     conjecture_spot_check,
     cube_graph,
@@ -47,6 +48,8 @@ from .pipeline import (
 )
 
 CSV_HEADER = "seed,family,n,k,c,alpha,method,paths,uncovered,runtime_ms,success"
+# the most samples an oracle subcommand takes, so that every run it accepts ends
+SAMPLES_CAP = 10**6
 
 
 @dataclass
@@ -104,9 +107,11 @@ class _CoverLine:
 
 
 def read_cover_file(text: str, g: Graph) -> PathCover:
+    """The cover that `write_cover_file` wrote: one line of vertex ids per
+    path, '#' and blank lines skipped, lines ended as `read_graph` ends them."""
     paths: list[_CoverLine] = []
     used: set[int] = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -298,9 +303,18 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _n_max(value: int) -> int:
-    if value < 1:
-        raise ValueError(f"--n-max must be >= 1, got {value}")
+def _n_max(value: int, cap: int) -> int:
+    """--n-max, which must lie in [1, cap]: the oracle it feeds is exact up
+    to cap vertices only."""
+    if not 1 <= value <= cap:
+        raise ValueError(f"--n-max must be >= 1, got {value}" if value < 1 else f"--n-max must be <= {cap}, got {value}")
+    return value
+
+
+def _samples(value: int) -> int:
+    """--samples; a negative count is the oracle's error to raise."""
+    if value > SAMPLES_CAP:
+        raise ValueError(f"--samples must be <= {SAMPLES_CAP}, got {value}")
     return value
 
 
@@ -311,7 +325,7 @@ def cmd_conjecture(args) -> int:
         Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)]),
         Graph(6, [(i, 3 + j) for i in range(3) for j in range(3)], bipartition=(range(3), range(3, 6))),
     ]
-    rep = conjecture_spot_check(args.k, args.n, args.samples, seed=args.seed, extras=extras)
+    rep = conjecture_spot_check(args.k, args.n, _samples(args.samples), seed=args.seed, extras=extras)
     print(f"checked={rep.checked} violations={len(rep.violations)} max_ratio={rep.max_ratio:.4f}")
     for g, cover, limit in rep.violations:
         print(f"VIOLATION: {g!r} cover={cover} > ceil(n/(k+1))={limit}")
@@ -321,7 +335,8 @@ def cmd_conjecture(args) -> int:
 def cmd_berge_tutte(args) -> int:
     checked = 0
     bad = 0
-    for g in _berge_tutte_instances(_n_max(args.n_max), args.exhaustive, args.samples, args.seed):
+    n_max, samples = _n_max(args.n_max, DEFICIENCY_CAP), _samples(args.samples)
+    for g in _berge_tutte_instances(n_max, args.exhaustive, samples, args.seed):
         mu = fractional_matching(g).value
         d, _ = max_deficiency(g)
         checked += 1
@@ -336,7 +351,7 @@ def cmd_chernoff(args) -> int:
     violations = 0
     checked = 0
     worst = 0.0
-    for np_ in range(1, _n_max(args.n_max) + 1):
+    for np_ in range(1, _n_max(args.n_max, TAIL_CAP) + 1):
         for dec in range(1, 10):
             zeta = Fraction(dec, 10)
             mean = np_ * zeta

@@ -62,6 +62,8 @@ class GenSpec:
         n, k = self.n, self.k
         if n <= 0 or k < 0:
             raise ValueError("need n > 0 and k >= 0")
+        if n >= 2**63:
+            raise ValueError(f"need n < 2**63, got n={n}: vertex ids are int64 in the generators")
         seed_arg(self.seed)  # the seed's range, checked after n and k
         if self.family == "random-regular":
             if k >= n:

@@ -203,18 +203,26 @@ def complement(g: Graph) -> Graph:
     return Graph._from_masks(tuple(a ^ b for a, b in zip(g._adj, allowed)), g.bipartition)
 
 
+def _lines(text: str) -> list[str]:
+    """The lines of `text`, ended only by "\\n", "\\r\\n" and "\\r", as
+    `open()` reads a file; `str.splitlines` also ends one at "\\x0b",
+    "\\x0c", "\\x1c"-"\\x1e", "\\x85", "\\u2028" and "\\u2029"."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def read_graph(text: str) -> Graph:
     """Parse the edge-list format.
 
     First line "n m"; optional second header "bipartite k" meaning
     X = {0..k-1}, Y = {k..n-1}; then m lines "u v" with 0 <= u < v < n.
-    '#' lines are comments; blank lines are skipped.
+    '#' lines are comments; blank lines are skipped. Lines end at "\\n",
+    "\\r\\n" or "\\r" (see `_lines`).
     """
     n = m = -1
     split_k: Optional[int] = None
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -280,6 +288,8 @@ def write_graph(g: Graph) -> str:
         if x != frozenset(range(k)):
             raise ValueError("only prefix bipartitions (X = 0..k-1) can be serialized")
         lines.append(f"bipartite {k}")
-    for u, v in g.edges:
-        lines.append(f"{u} {v}")
+    # the upper triangle's nonzeros come in row-major order: sorted (u, v)
+    us, vs = np.nonzero(np.triu(_adjacency_block(g, range(g.n), range(g.n)), 1))
+    ids = [str(v) for v in range(g.n)]
+    lines += map(" ".join, zip(map(ids.__getitem__, us.tolist()), map(ids.__getitem__, vs.tolist())))
     return "\n".join(lines) + "\n"

@@ -118,8 +118,17 @@ class _Budget:
 
 
 def _pick_bit(mask: int, rng: random.Random) -> int:
+    """A random set bit of `mask`: `nth_bit(mask, rng.randrange(c))` for c
+    set bits, with randrange's `getrandbits(c.bit_length())` redraw loop
+    inlined, so that it makes the same calls; one bit takes no draw."""
     c = mask.bit_count()
-    return nth_bit(mask, 0 if c == 1 else rng.randrange(c))
+    if c == 1:
+        return mask.bit_length() - 1
+    k = c.bit_length()
+    i = rng.getrandbits(k)
+    while i >= c:
+        i = rng.getrandbits(k)
+    return nth_bit(mask, i)
 
 
 def _grow_path(
@@ -193,17 +202,21 @@ def _close_cycle(
 
 def _components(adj: Sequence[int], active: int) -> tuple[list[int], list[int]]:
     """Component masks of the subgraph `active` induces, by bit-parallel BFS,
-    and the index of each active vertex's component in that list."""
+    and the index of each active vertex's component in that list. A BFS
+    stops once its component holds all that is left of `active`, and only
+    the components after the first write labels: 0 is the default."""
     comps, label = [], [0] * len(adj)
     while active:
         comp = frontier = active & -active
-        while frontier:
+        while frontier and comp != active:
             reach = 0
             for v in bits(frontier):
                 reach |= adj[v]
-                label[v] = len(comps)
             frontier = reach & active & ~comp
             comp |= frontier
+        if comps:
+            for v in bits(comp):
+                label[v] = len(comps)
         comps.append(comp)
         active &= ~comp
     return comps, label

@@ -274,17 +274,23 @@ def reservoir(
 def _reservoir_draws(n: int, gamma: float, seed: int) -> Iterator[tuple[int, int]]:
     """The reservoir's candidate sets as (rmask, size), in draw order: vertex v
     joins when its `rng.random()` is below gamma. A candidate reads its n
-    values from one `getrandbits(64 * n)`, which takes the same 32-bit words,
-    first word lowest; random() is ((a >> 5) * 2**26 + (b >> 6)) / 2**53 over
-    consecutive words a, b, so it is below gamma iff that integer is below
-    ceil(gamma * 2**53)."""
+    values from 64 * n bits, which take the same 32-bit words, first word
+    lowest; random() is ((a >> 5) * 2**26 + (b >> 6)) / 2**53 over consecutive
+    words a, b, so it is below gamma iff that integer is below
+    ceil(gamma * 2**53). The candidates are drawn a block of about 64 KiB at a
+    time: one `getrandbits(64 * n * a)` takes the words of a candidates in
+    order, exactly as a calls of `getrandbits(64 * n)` would."""
     rng = random.Random(mix64(seed, 0x6E5E6))
     cut = np.uint64(math.ceil(gamma * 2**53))
-    for _ in range(RESERVOIR_ATTEMPTS):
-        ab = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), "<u8")
-        picked = ((ab & 0xFFFFFFFF) >> 5 << 26 | ab >> 38) < cut
-        rmask = int.from_bytes(np.packbits(picked, bitorder="little").tobytes(), "little")
-        yield rmask, rmask.bit_count()
+    nbytes = (n + 7) // 8
+    block = max(8192 // max(n, 1), 1)
+    for start in range(0, RESERVOIR_ATTEMPTS, block):
+        a = min(block, RESERVOIR_ATTEMPTS - start)
+        ab = np.frombuffer(rng.getrandbits(64 * n * a).to_bytes(8 * n * a, "little"), "<u8")
+        picked = (((ab & 0xFFFFFFFF) >> 5 << 26 | ab >> 38) < cut).reshape(a, n)
+        packed = np.packbits(picked, axis=1, bitorder="little").tobytes()
+        for i, size in enumerate(np.count_nonzero(picked, axis=1).tolist()):
+            yield int.from_bytes(packed[i * nbytes : (i + 1) * nbytes], "little"), size
 
 
 def _reservoir_level(
@@ -295,33 +301,41 @@ def _reservoir_level(
     and is updated: the windows only widen as eps grows, so every vertex
     before that one is inside them again, and the scan restarts there."""
     n = g.n
-    if not 0 < gamma <= 1:
-        raise DegenerateParameterError(f"gamma={gamma} must be in (0, 1]")
-    if not 0 < eps < math.inf:
-        raise DegenerateParameterError(f"eps={eps} must be positive and finite")
-    ga, ep = _dec(gamma), _dec(eps)
-    size_lo, size_hi = (1 - ep) * ga * n, (1 + ep) * ga * n
-    deg_lo, deg_hi = (1 - ep) * ga * k, (1 + ep) * ga * k
-    size_floor, size_ceil = _int_window(size_lo, size_hi)
-    deg_floor, deg_ceil = _int_window(deg_lo, deg_hi)
-    if size_ceil - size_floor <= 1:
-        raise DegenerateParameterError(
-            f"no integer size in ({float(size_lo):.3f}, {float(size_hi):.3f})"
-        )
-    if deg_ceil - deg_floor <= 1:
-        raise DegenerateParameterError(
-            f"no integer degree in ({float(deg_lo):.3f}, {float(deg_hi):.3f})"
-        )
+    size_floor, size_ceil, deg_floor, deg_ceil = _reservoir_windows(n, k, gamma, eps)
+    adj = g._adj
     for index, (rmask, size) in enumerate(draws):
         if not size_floor < size < size_ceil:
             continue
         for v in range(resume.get(index, 0), n):
-            if not deg_floor < (g.adjacency_mask(v) & rmask).bit_count() < deg_ceil:
+            if not deg_floor < (adj[v] & rmask).bit_count() < deg_ceil:
                 resume[index] = v
                 break
         else:
             return frozenset(bits(rmask))
     raise ReservoirError(f"no valid reservoir in {RESERVOIR_ATTEMPTS} attempts")
+
+
+def _reservoir_windows(n: int, k: int, gamma: float, eps: float) -> tuple[int, int, int, int]:
+    """`_int_window` of the open size and degree windows (1 ∓ eps)*gamma*x,
+    x = n and x = k, with gamma and eps snapped by `_dec`. With ga = gn/gd
+    and ep = en/ed, the window is ((ed - en)*gn*x, (ed + en)*gn*x) over ed*gd,
+    so floor and ceil are integer divisions. DegenerateParameterError for
+    gamma outside (0, 1], eps not positive and finite, and a window that
+    holds no integer."""
+    if not 0 < gamma <= 1:
+        raise DegenerateParameterError(f"gamma={gamma} must be in (0, 1]")
+    if not 0 < eps < math.inf:
+        raise DegenerateParameterError(f"eps={eps} must be positive and finite")
+    ga, ep = _dec(gamma), _dec(eps)
+    en, ed, gn = ep.numerator, ep.denominator, ga.numerator
+    lo, hi, den = (ed - en) * gn, (ed + en) * gn, ed * ga.denominator
+    size_floor, size_ceil = lo * n // den, -(-hi * n // den)
+    deg_floor, deg_ceil = lo * k // den, -(-hi * k // den)
+    if size_ceil - size_floor <= 1:
+        raise DegenerateParameterError(f"no integer size in ({lo * n / den:.3f}, {hi * n / den:.3f})")
+    if deg_ceil - deg_floor <= 1:
+        raise DegenerateParameterError(f"no integer degree in ({lo * k / den:.3f}, {hi * k / den:.3f})")
+    return size_floor, size_ceil, deg_floor, deg_ceil
 
 
 def _int_window(lo: Fraction, hi: Fraction) -> tuple[int, int]:
@@ -382,6 +396,7 @@ def cycle_cover(
     `rep.success` is `verify_cover` at the fallback's cycle cap, the largest
     count either route returns, and alpha*n uncovered.
     """
+    _check_t(cfg, g.n)
     cycset, rep = _cycle_stage(g, range(g.n), cfg, strict_window)
     _record_audit(rep, verify_cover(g, cycset, _cycle_cap(cfg, g.n), int(_dec(cfg.alpha) * g.n)))
     return cycset, rep
@@ -404,7 +419,8 @@ def _cycle_stage(
     cn = _dec(cfg.c) * n
     lo, hi = _int_window((1 - _dec(eps)) * cn, (1 + _dec(eps)) * cn)
     rmask = mask_of(rest)
-    violations = sum(1 for v in rest if not lo < (g.adjacency_mask(v) & rmask).bit_count() < hi)
+    adj = g._adj
+    violations = sum(1 for v in rest if not lo < (adj[v] & rmask).bit_count() < hi)
     if violations:
         msg = f"{violations} vertices outside the (1±eps)c*n degree window"
         if strict_window:
@@ -425,6 +441,12 @@ def _cycle_stage(
         rep.method = "greedy-fallback"
     rep.cycles_found = len(cycles)
     return CycleSet(cycles, frozenset(rest) - _covered_vertices(cycles)), rep
+
+
+def _check_t(cfg: PipelineConfig, n: int) -> None:
+    """ValueError for more clusters than vertices."""
+    if cfg.t is not None and cfg.t > n:
+        raise ValueError(f"t={cfg.t} exceeds n={n}: at most one cluster per vertex")
 
 
 def _cycle_cap(cfg: PipelineConfig, n: int) -> int:
@@ -790,6 +812,7 @@ def _path_stage(
         raise ValueError(
             f"graph is {k}-regular but cfg.c={cfg.c} implies ceil(c*n)={expected}"
         )
+    _check_t(cfg, n)
     alpha_cap = int(_dec(cfg.alpha) * n)
     # cap eps so that (limit + 1) * c' >= 1 + 3 eps, with c' = c or 2c
     c_eff = cfg.c if sides is None else 2 * cfg.c

@@ -7,7 +7,7 @@ import pytest
 
 from pathcover import cli
 from pathcover.cli import CONFIG_KEYS, CSV_HEADER, _berge_tutte_instances, main, read_cover_file, write_cover_file
-from pathcover.graph import read_graph
+from pathcover.graph import GraphFormatError, read_graph
 from pathcover.hamilton import Path
 from pathcover.pipeline import PathCover
 
@@ -261,6 +261,16 @@ def test_verify_rejects_a_bad_cover_file(tmp_path, capsys, text, message):
     assert code == 2
     assert out == ""
     assert err == f"format error: {message}\n"
+
+
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_cover_file_ends_lines_only_at_newlines(sep):
+    # str.splitlines would end a line at sep; open() and read_cover_file do not
+    g = read_graph("3 2\n0 1\n1 2\n")
+    assert [p.vertices for p in read_cover_file(f"0{sep}1\n2\n", g).paths] == [(0, 1), (2,)]
+    for end in ("\n", "\r\n", "\r"):
+        with pytest.raises(GraphFormatError, match="^line 3: vertex 5 out of range$"):
+            read_cover_file(end.join(["0 1", f"# a{sep}b", "5"]), g)
 
 
 @pytest.mark.parametrize("flag", ["--max-count", "--max-uncovered"])
@@ -518,3 +528,84 @@ def test_berge_tutte_instances_reject_negative_samples():
     with pytest.raises(ValueError, match="samples must be >= 0, got -1"):
         next(_berge_tutte_instances(4, True, -1, 0))
     assert list(_berge_tutte_instances(8, False, 0, 0)) == []
+
+
+# ------------------------------------------------- every numeric option's edges
+
+NUMERIC_VALUES = ["0", "-1", "nan", "inf", "-inf", str(2**64)]
+
+# each subcommand's numeric options, set on a command line that runs; None
+# leaves an option out unless it is the one under test
+NUMERIC_OPTIONS = {
+    "generate": (["generate", "--family", "random-regular"], {"--n": "40", "--k": None, "--c": "0.5", "--seed": "0"}),
+    "cover": (
+        ["cover", "{graph}"],
+        {"--c": None, "--alpha": None, "--d": None, "--eps": None, "--gamma": None, "--t": None, "--seed": "0"},
+    ),
+    "verify": (["verify", "{graph}", "{cover}"], {"--max-count": None, "--max-uncovered": None}),
+    "bench": (
+        ["bench", "--timing", "none"],
+        {"--c": "0.5", "--n": "40", "--seeds": "0", "--alpha": "0.1", "--threads": "1"},
+    ),
+    "conjecture": (["oracle", "conjecture"], {"--k": "3", "--n": "8", "--samples": "3", "--seed": "0"}),
+    "berge-tutte": (["oracle", "berge-tutte"], {"--n-max": "8", "--samples": "3", "--seed": "0"}),
+    "chernoff": (["oracle", "chernoff"], {"--n-max": "5"}),
+}
+
+# the values in NUMERIC_VALUES that are valid inputs, and why
+VALID_NUMERIC = {
+    ("generate", "--k", "0"): "the 0-regular graph",
+    ("generate", "--seed", "0"): "seeds lie in [0, 2**64)",
+    ("cover", "--gamma", "0"): "gamma lies in [0, 1/4]; 0 draws no reservoir",
+    ("cover", "--seed", "0"): "seeds lie in [0, 2**64)",
+    ("verify", "--max-count", "0"): "any limit >= 0; the audit fails it",
+    ("verify", "--max-count", str(2**64)): "any limit >= 0",
+    ("verify", "--max-uncovered", "0"): "any limit >= 0",
+    ("verify", "--max-uncovered", str(2**64)): "any limit >= 0",
+    ("bench", "--seeds", "0"): "seeds lie in [0, 2**64)",
+    ("bench", "--threads", "0"): "0 means THREADS or the CPU count",
+    ("bench", "--threads", str(2**64)): "the pool starts at most one thread per trial",
+    ("conjecture", "--k", "0"): "the 0-regular graphs",
+    ("conjecture", "--samples", "0"): "only the named graphs",
+    ("conjecture", "--seed", "0"): "seeds lie in [0, 2**64)",
+    ("berge-tutte", "--samples", "0"): "no sampled instances",
+    ("berge-tutte", "--seed", "0"): "seeds lie in [0, 2**64)",
+}
+
+NUMERIC_CASES = [
+    (command, option, value)
+    for command, (_, options) in NUMERIC_OPTIONS.items()
+    for option in options
+    for value in NUMERIC_VALUES
+]
+
+
+@pytest.fixture(scope="module")
+def numeric_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("numeric")
+    graph, cover = folder / "g.txt", folder / "c.txt"
+    assert main(["generate", "--family", "random-regular", "--n", "40", "--c", "0.5", "-o", str(graph)]) == 0
+    assert main(["cover", str(graph), "-o", str(cover), "--report", str(folder / "r.txt")]) in (0, 1)
+    return {"graph": str(graph), "cover": str(cover)}
+
+
+@pytest.mark.parametrize("command, option, value", NUMERIC_CASES, ids=["{} {} {}".format(*c) for c in NUMERIC_CASES])
+def test_every_numeric_option_at_its_edges(capsys, numeric_files, command, option, value):
+    base, defaults = NUMERIC_OPTIONS[command]
+    opts = {**defaults, option: value}
+    if command == "generate" and option == "--k":
+        opts["--c"] = None  # --k and --c exclude each other
+    argv = [arg.format(**numeric_files) for arg in base]
+    argv += [tok for flag, val in opts.items() if val is not None for tok in (flag, val)]
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's own usage errors
+        code = exc.code
+    err = capsys.readouterr().err
+    if (command, option, value) in VALID_NUMERIC:
+        assert code in (0, 1) and "error" not in err
+    else:
+        assert code == 2
+        assert any(line.startswith("error:") or ": error: " in line for line in err.splitlines()), err
+        assert "Traceback" not in err

@@ -1,15 +1,17 @@
 """The rotation search on disconnected vertex sets: the components helper
-against networkx, and the search's stops once a path spans its start's
-component or a largest component."""
+against networkx and a reference BFS, the search's stops once a path spans
+its start's component or a largest component, and the random bit pick
+against `randrange`."""
 
 import random
 
 import networkx as nx
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pathcover.hamilton as hamilton
-from pathcover._bits import bits, mask_of
+from pathcover._bits import bits, mask_of, nth_bit
 from pathcover.generators import GenSpec, extremal_family
 from pathcover.graph import Graph
 from pathcover.hamilton import _components, longest_cycle, longest_path
@@ -78,3 +80,60 @@ def test_clique_union_search_stops_after_one_attempt(monkeypatch):
     assert len(attempts) == 1 and len(path) == 30
     cycle = longest_cycle(g, seed=0)
     assert len(attempts) == 2 and len(cycle) == 30
+
+
+def _components_reference(adj, active):
+    """Components by a vertex-at-a-time BFS, in order of their smallest
+    vertex, with every vertex outside `active` labelled 0."""
+    comps, label, seen = [], [0] * len(adj), 0
+    for s in bits(active):
+        if (seen >> s) & 1:
+            continue
+        comp, queue = 1 << s, [s]
+        while queue:
+            v = queue.pop()
+            for w in bits(adj[v] & active & ~comp):
+                comp |= 1 << w
+                queue.append(w)
+        for v in bits(comp):
+            label[v] = len(comps)
+        seen |= comp
+        comps.append(comp)
+    return comps, label
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(hosts(), st.sampled_from(["all", "within", "connected", "empty"]))
+def test_components_match_a_reference_bfs(host, which):
+    g, within = host
+    adj = [g.adjacency_mask(v) for v in range(g.n)]
+    if which == "all":
+        active = (1 << g.n) - 1
+    elif which == "within":
+        active = mask_of(within or range(g.n))
+    elif which == "empty":
+        active = 0
+    else:  # one whole component: its BFS stops when nothing is left
+        active = _components_reference(adj, (1 << g.n) - 1)[0][0]
+    assert _components(adj, active) == _components_reference(adj, active)
+
+
+class _Recorded(random.Random):
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = []
+
+    def getrandbits(self, k):
+        self.calls.append(k)
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("c", sorted({1, 2, 3} | {x for p in range(2, 11) for x in (2**p - 1, 2**p, 2**p + 1)}))
+def test_pick_bit_draws_as_randrange(c):
+    mask = mask_of(random.Random(c).sample(range(3 * c), c))
+    inlined, twin = _Recorded(c), _Recorded(c)
+    for _ in range(100):
+        assert hamilton._pick_bit(mask, inlined) == nth_bit(mask, 0 if c == 1 else twin.randrange(c))
+    assert inlined.calls == twin.calls
+    assert inlined.getstate() == twin.getstate()
+    assert inlined.calls == [] if c == 1 else len(inlined.calls) >= 100

@@ -158,6 +158,32 @@ def test_read_format_errors_name_their_line(text, line_no, message):
     assert str(err.value) == f"line {line_no}: {message}"
 
 
+# str.splitlines also ends a line at each of these; a file that open() reads does not
+NOT_LINE_ENDS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("sep", NOT_LINE_ENDS, ids=[f"{ord(c):#06x}" for c in NOT_LINE_ENDS])
+def test_read_ends_lines_only_at_newlines(sep):
+    # inside a line the character is whitespace between tokens
+    assert read_graph(f"3 1\n0{sep}1\n") == Graph(3, [(0, 1)])
+    with pytest.raises(GraphFormatError) as err:
+        read_graph(f"3 2\n0 1{sep}1 2\n")
+    assert str(err.value) == f"line 2: expected 'u v', got {'0 1' + sep + '1 2'!r}"
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("sep", NOT_LINE_ENDS, ids=[f"{ord(c):#06x}" for c in NOT_LINE_ENDS])
+def test_read_numbers_lines_as_open_does(tmp_path, end, sep):
+    text = end.join(["3 1", f"# one{sep}comment", "", "0 x"]) + end
+    with pytest.raises(GraphFormatError) as err:
+        read_graph(text)
+    assert str(err.value) == "line 4: edge endpoints must be integers"
+    path = tmp_path / "g.txt"
+    path.write_bytes(text.encode())
+    with open(path, encoding="utf-8") as fh:
+        assert [line_no for line_no, line in enumerate(fh, start=1) if line.startswith("0 x")] == [4]
+
+
 def test_equal_graphs_hash_alike():
     a, b = read_graph("3 2\n0 1\n1 2\n"), Graph(3, [(1, 2), (0, 1)])
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
@@ -262,6 +288,23 @@ def test_edges_sorted_and_counted(g):
 @given(graphs())
 def test_write_read_round_trip(g):
     assert read_graph(write_graph(g)) == g
+
+
+def _write_reference(g: Graph) -> str:
+    """write_graph by its definition: the header, then one line per sorted edge."""
+    head = [f"{g.n} {g.m}"] + ([f"bipartite {len(g.bipartition[0])}"] if g.bipartition else [])
+    return "\n".join(head + [f"{u} {v}" for u, v in g.edges]) + "\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(graphs(max_n=40), graphs(max_n=40, bipartite=True)))
+def test_write_matches_its_edge_list_definition(g):
+    assert write_graph(g) == _write_reference(g)
+
+
+def test_write_empty_and_edgeless_graphs():
+    assert write_graph(Graph(0, [])) == "0 0\n"
+    assert write_graph(Graph(3, [], bipartition=(range(1), range(1, 3)))) == "3 0\nbipartite 1\n"
 
 
 @settings(max_examples=60, deadline=None)

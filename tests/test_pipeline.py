@@ -13,6 +13,7 @@ from pathcover._bits import mask_of, mix64
 from pathcover.cli import write_cover_file
 from pathcover.generators import (
     GenSpec,
+    _dec,
     degree_from_ratio,
     extremal_family,
     generate,
@@ -38,6 +39,7 @@ from pathcover.pipeline import (
     _int_window,
     _reservoir_draws,
     _reservoir_relaxed,
+    _reservoir_windows,
     _single_vertex_verdict,
     chernoff_lower,
     chernoff_upper,
@@ -302,6 +304,67 @@ def test_reservoir_draws_exact_at_gamma():
         for gamma in (x, math.nextafter(x, 1)):
             twin = random.Random(mix64(3, 0x6E5E6))
             assert list(_reservoir_draws(64, gamma, 3)) == list(_draws_reference(64, gamma, twin))
+
+
+@pytest.mark.parametrize("n", [170, 2400, 8193])
+def test_reservoir_draws_come_in_blocks_of_about_64_kib(n, monkeypatch):
+    # 8192 // n candidates a block: 48 + 2 at n=170, 16 x 3 + 2 at n=2400,
+    # one at a time above 8192; nothing is drawn before the first candidate
+    calls = []
+
+    class Recorded(random.Random):
+        def getrandbits(self, k):
+            calls.append(k)
+            return super().getrandbits(k)
+
+    twin = random.Random(mix64(5, 0x6E5E6))
+    block = max(8192 // n, 1)
+    sizes = [min(block, RESERVOIR_ATTEMPTS - s) for s in range(0, RESERVOIR_ATTEMPTS, block)]
+    monkeypatch.setattr(random, "Random", Recorded)
+    draws = _reservoir_draws(n, 0.1, 5)
+    assert calls == []
+    assert list(draws) == list(_draws_reference(n, 0.1, twin))
+    assert calls == [64 * n * a for a in sizes]
+
+
+def _windows_reference(n, k, gamma, eps):
+    """The reservoir's windows as Fractions: (floor, ceil) of the size and
+    degree windows, or the message of the window that holds no integer."""
+    ga, ep = _dec(gamma), _dec(eps)
+    size_lo, size_hi = (1 - ep) * ga * n, (1 + ep) * ga * n
+    deg_lo, deg_hi = (1 - ep) * ga * k, (1 + ep) * ga * k
+    size_floor, size_ceil = _int_window(size_lo, size_hi)
+    deg_floor, deg_ceil = _int_window(deg_lo, deg_hi)
+    if size_ceil - size_floor <= 1:
+        return f"no integer size in ({float(size_lo):.3f}, {float(size_hi):.3f})"
+    if deg_ceil - deg_floor <= 1:
+        return f"no integer degree in ({float(deg_lo):.3f}, {float(deg_hi):.3f})"
+    return size_floor, size_ceil, deg_floor, deg_ceil
+
+
+def _positive(top):
+    return st.one_of(
+        st.sampled_from([x for x in (0.0125, 0.025, 0.1, 0.125, 0.25, 0.5, 1.0, 1.5, 2.0) if x <= top]),
+        st.floats(min_value=1e-12, max_value=top),
+        st.fractions(min_value=Fraction(1, 10**12), max_value=top, max_denominator=10**12),
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    n=st.one_of(st.integers(0, 200), st.integers(0, 10**7)),
+    k=st.one_of(st.integers(0, 200), st.integers(0, 10**7)),
+    gamma=_positive(1),
+    eps=_positive(8),
+)
+def test_reservoir_windows_equal_the_fraction_windows(n, k, gamma, eps):
+    expected = _windows_reference(n, k, gamma, eps)
+    if isinstance(expected, str):
+        with pytest.raises(DegenerateParameterError) as err:
+            _reservoir_windows(n, k, gamma, eps)
+        assert str(err.value) == expected
+    else:
+        assert _reservoir_windows(n, k, gamma, eps) == expected
 
 
 _fraction = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -851,3 +914,13 @@ def test_run_report_kv_text():
     cover, rep = path_cover(g, PipelineConfig.derive((n - 1) / n, 0.2, seed=1))
     text = rep.to_kv_text()
     assert "method=" in text and "uncovered=" in text and "notes=" in text
+
+
+@pytest.mark.parametrize("cover", [cycle_cover, path_cover, path_cover_bipartite])
+@pytest.mark.parametrize("t", [41, 2**64])
+def test_covers_reject_more_clusters_than_vertices(cover, t):
+    g = generate(GenSpec(40, 10, "random-bipartite-regular", seed=0))
+    cfg = PipelineConfig.derive(0.25, 0.1, t=t)
+    with pytest.raises(ValueError, match=rf"^t={t} exceeds n=40"):
+        cover(g, cfg)
+    cover(g, dataclasses.replace(cfg, t=40))  # one cluster per vertex is allowed
